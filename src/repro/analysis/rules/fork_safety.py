@@ -1,11 +1,11 @@
 """Fork safety: worker functions must not mutate module-level state.
 
-The sharded drivers fan work out over ``multiprocessing`` fork
+The sharded driver fans work out over ``multiprocessing`` fork
 workers.  A forked child inherits module globals copy-on-write, so a
 worker that *mutates* one is writing to a private copy the parent
 never sees — code that "works" inline (``processes <= 1``) and
 silently drops state when forked.  The inline/forked byte-identity
-property the streaming driver guarantees makes this a correctness
+property the sharded driver guarantees makes this a correctness
 contract, not a style preference.
 
 The rule finds worker functions statically — any function passed as a
@@ -92,22 +92,22 @@ class ForkSafetyRule(Rule):
         "Fork workers inherit module globals copy-on-write: a worker "
         "mutating one writes to a private copy the parent never sees, "
         "so the code behaves differently inline versus forked — and "
-        "the streaming driver's inline/forked byte-identity guarantee "
+        "the sharded driver's inline/forked byte-identity guarantee "
         "breaks.  Workers communicate through their arguments and the "
         "result queue, never through module state."
     )
     scope = "file"
-    default_path = "sharding/streaming.py"
+    default_path = "sharding/driver.py"
     fixtures = [
         Fixture(
             bad=(
                 "_RESULTS = {}\n"
-                "def _stream_worker(s, events, queue):\n"
+                "def _shard_worker(s, events, queue):\n"
                 "    _RESULTS[s] = len(events)\n"
                 "    queue.put((s, len(events)))\n"
             ),
             good=(
-                "def _stream_worker(s, events, queue):\n"
+                "def _shard_worker(s, events, queue):\n"
                 "    queue.put((s, len(events)))\n"
             ),
             note="the parent's _RESULTS never sees the child's write; "
@@ -116,13 +116,13 @@ class ForkSafetyRule(Rule):
         Fixture(
             bad=(
                 "_SEEN = []\n"
-                "def _stream_worker(s, events, queue):\n"
+                "def _shard_worker(s, events, queue):\n"
                 "    global _SEEN\n"
                 "    _SEEN = list(events)\n"
                 "    queue.put(s)\n"
             ),
             good=(
-                "def _stream_worker(s, events, queue):\n"
+                "def _shard_worker(s, events, queue):\n"
                 "    seen = list(events)\n"
                 "    queue.put((s, seen))\n"
             ),
@@ -133,7 +133,7 @@ class ForkSafetyRule(Rule):
 
     def check_file(self, parsed: ParsedFile):
         path = str(parsed.path)
-        if not (path.endswith("streaming.py") or path.endswith("driver.py")):
+        if not path.endswith("driver.py"):
             return
         mutables = _module_mutables(parsed.tree)
         workers = _worker_names(parsed.tree)

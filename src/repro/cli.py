@@ -11,7 +11,7 @@ python -m repro replay    trace.json --shards 4 --shard-by subtree
 python -m repro serve     --trace trace.json --policy dual-gated --journal j.log
 python -m repro serve     --trace trace.json --journal j.bin --format binary \
                           --sync-window 64 --checkpoint-every 5000
-python -m repro serve     --trace trace.json --port 7777 --async \
+python -m repro serve     --trace trace.json --port 7777 \
                           --obs --metrics-port 9100
 python -m repro resume    --journal j.log -o metrics.json
 python -m repro compact   --journal j.log
@@ -30,12 +30,12 @@ path; ``replay`` streams an event trace through an online admission
 policy (generating and optionally saving the trace on the fly), and
 with ``--shards N`` fans it across the sharded admission engine;
 ``serve`` runs the long-lived admission service — JSON-lines requests
-on stdin (or one TCP client with ``--port``), a write-ahead admission
-journal (JSON-lines or binary, group-committed, optionally
-checkpointed), and an optional sharded-coordinator backend —
-``resume`` warm-restarts a killed service from its journal (seeking to
-the last checkpoint and replaying only the tail) and finishes the
-trace, and ``compact`` rewrites a journal as header + one checkpoint;
+on stdin (or TCP clients, one or many at once, with ``--port``) and a
+write-ahead admission journal (JSON-lines or binary, group-committed,
+optionally checkpointed) — ``resume`` warm-restarts a killed service
+from its journal (seeking to the last checkpoint and replaying only the
+tail) and finishes the trace, and ``compact`` rewrites a journal as
+header + one checkpoint;
 ``sweep-preemption`` grids preemption factor × penalty over saved
 traces and reports where preemption stops paying; ``decompose`` prints
 the Section 4 decomposition table; ``top`` is a live optimality
@@ -359,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "decomposition layers (default: subtree)")
     rep.add_argument("--processes", type=_int_arg("processes", minimum=0),
                      default=None,
-                     help="shard worker pool size (default: min(shards, "
-                          "CPU count); 0 or 1 = inline)")
+                     help="0 or 1 replays the shards inline, more "
+                          "forks one worker per shard (default: fork "
+                          "when the host has more than one CPU)")
     rep.add_argument("--save-trace", default=None,
                      help="write the (generated) trace JSON here")
     rep.add_argument("-o", "--output", default=None,
@@ -389,25 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--journal", default=None,
                      help="append-only admission journal (enables "
                           "warm restart via `repro resume`)")
-    srv.add_argument("--shards", type=_int_arg("shards", minimum=1),
-                     default=1,
-                     help="run the sharded coordinator backend with "
-                          "this many per-shard ledgers (default: 1)")
-    srv.add_argument("--shard-by", default="subtree",
-                     choices=SHARD_STRATEGIES)
     srv.add_argument("--port", type=_int_arg("port", minimum=0),
                      default=None,
                      help="serve TCP clients on this port (0 = "
-                          "ephemeral) instead of stdin/stdout; "
-                          "sequential reconnects unless --async")
-    srv.add_argument("--async", action="store_true", dest="async_server",
-                     help="with --port: multiplex many concurrent "
-                          "clients on one event loop (per-connection "
-                          "backpressure, fair round-robin dispatch, "
-                          "request-id echo)")
+                          "ephemeral) instead of stdin/stdout: one "
+                          "event loop multiplexes concurrent clients "
+                          "(per-connection backpressure, fair "
+                          "round-robin dispatch, request-id echo)")
+    srv.add_argument("--async", action="store_true",
+                     help="accepted for compatibility; --port always "
+                          "serves concurrent clients")
     srv.add_argument("--max-clients",
                      type=_int_arg("max-clients", minimum=1), default=128,
-                     help="with --async: concurrent-connection cap "
+                     help="with --port: concurrent-connection cap "
                           "(default: 128)")
     srv.add_argument("--max-line-bytes",
                      type=_int_arg("max-line-bytes", minimum=2),
@@ -455,12 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="with --serve: serve TCP clients on this "
                           "port instead of stdin")
-    res.add_argument("--async", action="store_true", dest="async_server",
-                     help="with --serve --port: the concurrent "
-                          "multi-client event loop")
+    res.add_argument("--async", action="store_true",
+                     help="accepted for compatibility; --port always "
+                          "serves concurrent clients")
     res.add_argument("--max-clients",
                      type=_int_arg("max-clients", minimum=1), default=128,
-                     help="with --async: concurrent-connection cap "
+                     help="with --port: concurrent-connection cap "
                           "(default: 128)")
     res.add_argument("--max-line-bytes",
                      type=_int_arg("max-line-bytes", minimum=2),
@@ -841,9 +836,6 @@ def _replay_sharded(args, trace, policy_kwargs: dict) -> int:
             "merged": merged.to_dict(),
             "policy_stats": result.policy_stats,
             "wall_s": result.wall_s,
-            "critical_path_s": result.critical_path_s,
-            "critical_path_events_per_sec":
-                result.critical_path_events_per_sec,
             "trace_meta": dict(trace.meta),
         }
         with open(args.output, "w") as fh:
@@ -870,8 +862,7 @@ def _serve(args) -> int:
     try:
         service = AdmissionService(
             trace, args.policy, policy_kwargs,
-            journal_path=args.journal,
-            shards=args.shards, shard_by=args.shard_by, sync=args.sync,
+            journal_path=args.journal, sync=args.sync,
             fmt=args.journal_format, sync_window=args.sync_window,
             sync_interval_ms=args.sync_interval_ms,
             checkpoint_every=args.checkpoint_every,
@@ -881,8 +872,7 @@ def _serve(args) -> int:
     # Banners go to stderr: stdout is the response channel.
     print(f"serving {os.path.basename(args.trace)} "
           f"({trace.num_arrivals} demands) with {args.policy}"
-          + (f", journal {args.journal}" if args.journal else "")
-          + (f", {args.shards} shards" if args.shards > 1 else ""),
+          + (f", journal {args.journal}" if args.journal else ""),
           file=sys.stderr)
     _start_metrics(args, service)
     _run_transport(service, args)
@@ -894,30 +884,23 @@ def _run_transport(service, args) -> None:
     ``serve`` and ``resume --serve``)."""
     import sys
 
-    from .service import serve_async, serve_socket, serve_stdio
+    from .service import serve_async, serve_stdio
 
     if args.port is None:
-        if args.async_server:
-            raise SystemExit("serve: --async requires --port")
         serve_stdio(service, max_line_bytes=args.max_line_bytes)
         return
 
     def announce(addr):
-        print(f"listening on {addr[0]}:{addr[1]}"
-              + (" (async, max-clients "
-                 f"{args.max_clients})" if args.async_server else ""),
+        print(f"listening on {addr[0]}:{addr[1]} "
+              f"(async, max-clients {args.max_clients})",
               file=sys.stderr, flush=True)
 
-    if args.async_server:
-        serve_async(service, port=args.port,
-                    max_clients=args.max_clients,
-                    max_line_bytes=args.max_line_bytes,
-                    announce=announce,
-                    log=lambda msg: print(f"serve: {msg}",
-                                          file=sys.stderr, flush=True))
-    else:
-        serve_socket(service, port=args.port, announce=announce,
-                     max_line_bytes=args.max_line_bytes)
+    serve_async(service, port=args.port,
+                max_clients=args.max_clients,
+                max_line_bytes=args.max_line_bytes,
+                announce=announce,
+                log=lambda msg: print(f"serve: {msg}",
+                                      file=sys.stderr, flush=True))
 
 
 def _resume(args) -> int:

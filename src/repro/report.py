@@ -264,7 +264,7 @@ def render_sharded_replay(result, merged=None) -> str:
     :func:`~repro.online.metrics.with_offline` filled in the benchmark
     columns).  Rows are labelled ``shard-N`` / ``boundary`` / ``merged``
     in the policy column; the merged row's throughput is single-host
-    wall clock, with the deployment (critical-path) rate appended below.
+    wall clock.
     """
     plan = result.plan
     lines = [
@@ -289,11 +289,6 @@ def render_sharded_replay(result, merged=None) -> str:
     merged_doc = dict(merged_doc, policy="merged")
     docs.append(merged_doc)
     lines.append(render_replay(docs))
-    lines.append(
-        f"critical path: {result.critical_path_s * 1e3:.1f} ms "
-        f"({result.critical_path_events_per_sec:.0f} events/s across "
-        f"{plan['shards']} workers)"
-    )
     return "\n".join(lines)
 
 

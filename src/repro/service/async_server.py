@@ -32,7 +32,7 @@ just non-blocking sockets and explicit buffers:
 The ``stats`` op's ``server`` section carries live transport counters
 here — connected clients, per-client request counts, the dispatch
 queue depth, backpressured clients, and the journal commit watermark
-lag (``seq - commit_seq``); other transports return the same keys as
+lag (``seq - commit_seq``); the stdin transport returns the same keys as
 nulls, so dashboards never special-case the front door.
 """
 
@@ -420,16 +420,12 @@ class AsyncLineServer:
             self._emit(conn, {"ok": False,
                               "error": f"bad request JSON: {exc}"})
             return
-        if not isinstance(req, dict):
-            self._emit(conn, {"ok": False,
-                              "error": "request must be a JSON object"})
-            return
         rec = _tracing.RECORDER
         if rec.enabled:
             t0 = time.perf_counter_ns()
             resp = self.service.handle(req)
             rec.record("server.dispatch", t0, time.perf_counter_ns() - t0,
-                       {"client": conn.client, "op": req.get("op")})
+                       {"client": conn.client, "op": resp.get("op")})
         else:
             resp = self.service.handle(req)
         self._emit(conn, resp)
@@ -476,7 +472,7 @@ def serve_async(service: AdmissionService, host: str = "127.0.0.1",
                 max_line_bytes: int = 1 << 20,
                 announce=None, log=None) -> dict | None:
     """Run an :class:`AsyncLineServer` to completion (the ``repro serve
-    --async`` entry point).  Returns the ``close`` response, if any."""
+    --port`` entry point).  Returns the ``close`` response, if any."""
     server = AsyncLineServer(service, host, port,
                              max_clients=max_clients,
                              max_line_bytes=max_line_bytes,

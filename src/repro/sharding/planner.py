@@ -13,7 +13,7 @@ instances' routes touch:
   other shard;
 * a **boundary** demand crosses a cut: its route touches edges of two or
   more shards, so it must be serialized through the coordinator (the
-  :class:`~repro.sharding.ledger.BoundaryBroker`).
+  boundary pass of :class:`~repro.sharding.driver.ShardedDriver`).
 
 Two strategies:
 
@@ -57,7 +57,7 @@ from ..core.instance import (
 )
 from ..decomposition.ideal import ideal_decomposition
 from ..network.tree import TreeNetwork
-from ..online.events import Arrival, Departure, EventTrace, Tick
+from ..online.events import EventTrace, Tick
 
 __all__ = ["ShardPlan", "ShardPlanner", "SHARD_STRATEGIES"]
 
@@ -224,27 +224,6 @@ class ShardPlan:
 
     # -- classification ------------------------------------------------
 
-    def shards_of(self, demand_id: int) -> tuple[int, ...]:
-        """The shards demand ``demand_id``'s routes touch."""
-        return self.demand_shards[demand_id]
-
-    def is_boundary(self, demand_id: int) -> bool:
-        """Whether the demand crosses a cut (needs the broker)."""
-        return len(self.demand_shards[demand_id]) > 1
-
-    def shard_of(self, demand_id: int) -> int:
-        """The owning shard of a *local* demand.
-
-        Raises
-        ------
-        ValueError
-            If the demand is a boundary demand.
-        """
-        shards = self.demand_shards[demand_id]
-        if len(shards) != 1:
-            raise ValueError(f"demand {demand_id} is a boundary demand")
-        return shards[0]
-
     @property
     def boundary_count(self) -> int:
         """Number of cut-crossing demands — the first-order scale of the
@@ -274,24 +253,6 @@ class ShardPlan:
                 self.problem, self.shard_demands[s]
             )
         return self._subproblems[s]
-
-    def subtrace(self, s: int, trace: EventTrace) -> EventTrace:
-        """Shard ``s``'s event stream: local arrivals/departures (demand
-        ids densified) plus every tick, in the original time order."""
-        ids = self.shard_demands[s]
-        local = {d: i for i, d in enumerate(ids)}
-        events: list = []
-        for ev in trace.events:
-            if isinstance(ev, Tick):
-                events.append(ev)
-            elif ev.demand_id in local:
-                cls = Arrival if isinstance(ev, Arrival) else Departure
-                events.append(cls(ev.time, local[ev.demand_id]))
-        meta = dict(trace.meta)
-        meta.update({"shard": s, "shards": self.n_shards,
-                     "shard_by": self.by})
-        return EventTrace(problem=self.subproblem(s), events=events,
-                          meta=meta)
 
     def boundary_events(self, trace: EventTrace) -> list:
         """The serialized stream: boundary arrivals/departures (global
@@ -333,10 +294,6 @@ class ShardPlan:
                 out.append(lut[key])
             self._instance_maps[s] = out
         return self._instance_maps[s]
-
-    def global_instance_of(self, s: int, local_iid: int) -> int:
-        """Global instance id of shard ``s``'s local instance."""
-        return self.instance_map(s)[local_iid]
 
     # -- reporting ------------------------------------------------------
 

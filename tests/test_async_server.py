@@ -15,7 +15,8 @@ The load-bearing guarantees:
   that rejects politely;
 * graceful drain commits the group-commit window and notifies clients
   with final watermarks; the journal resumes cleanly;
-* ``serve_socket`` accepts sequential reconnecting clients.
+* the one TCP server also serves clients that connect one after
+  another, until a ``close`` request.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from repro.online.metrics import TIMING_FIELDS
 from repro.service import (
     AdmissionService,
     AsyncLineServer,
+    serve_async,
     serve_lines,
-    serve_socket,
 )
 
 #: Per-policy constructor params (mirrors tests/test_service.py).
@@ -300,12 +301,15 @@ class TestGracefulDrain:
 
 
 class TestSequentialSocket:
+    """Sequential clients (connect, talk, disconnect, reconnect) on the
+    async server, the only TCP transport."""
+
     def test_reconnects_until_close(self, trace):
         service = AdmissionService(trace, "greedy-threshold")
         box = {}
         ready = threading.Event()
         thread = threading.Thread(
-            target=lambda: box.update(rv=serve_socket(
+            target=lambda: box.update(rv=serve_async(
                 service, port=0,
                 announce=lambda a: (box.update(addr=a), ready.set()))),
             daemon=True)
@@ -327,7 +331,7 @@ class TestSequentialSocket:
         box = {}
         ready = threading.Event()
         thread = threading.Thread(
-            target=lambda: box.update(rv=serve_socket(
+            target=lambda: box.update(rv=serve_async(
                 service, port=0, max_line_bytes=1024,
                 announce=lambda a: (box.update(addr=a), ready.set()))),
             daemon=True)

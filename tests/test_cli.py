@@ -264,7 +264,9 @@ class TestShardedReplay:
         assert doc["plan"]["shards"] == 2
         assert len(doc["shards"]) == 2
         assert doc["merged"]["accepted"] >= 0
-        assert doc["critical_path_events_per_sec"] > 0
+        assert doc["wall_s"] > 0
+        assert set(doc) == {"plan", "shards", "boundary", "merged",
+                            "policy_stats", "wall_s", "trace_meta"}
 
     def test_shards_one_uses_single_ledger_driver(self, trace_json,
                                                   capsys):
@@ -373,7 +375,10 @@ class TestServeResume:
         with pytest.raises(SystemExit, match="resume"):
             main(["resume", "--journal", str(tmp_path / "nope.log")])
 
-    def test_serve_sharded_backend(self, tmp_path, capsys, monkeypatch):
+    def test_serve_async_flag_selects_nothing(self, tmp_path, capsys,
+                                              monkeypatch):
+        """``--async`` is still accepted (TCP serving always multiplexes
+        clients), also without ``--port``; the shard flags are gone."""
         import io
 
         trace_path = tmp_path / "tree_trace.json"
@@ -384,11 +389,11 @@ class TestServeResume:
         monkeypatch.setattr("sys.stdin", io.StringIO(
             self._requests(str(trace_path), close=True)
         ))
-        assert main(["serve", "--trace", str(trace_path),
-                     "--shards", "2"]) == 0
+        assert main(["serve", "--trace", str(trace_path), "--async"]) == 0
         captured = capsys.readouterr()
-        assert "2 shards" in captured.err
         assert json.loads(captured.out.splitlines()[-1])["ok"]
+        with pytest.raises(SystemExit):
+            main(["serve", "--trace", str(trace_path), "--shards", "2"])
 
     def test_history_certificate_via_policy_arg(self, trace_json, capsys):
         assert main(["replay", trace_json, "--policy", "dual-gated",

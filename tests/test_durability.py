@@ -369,31 +369,6 @@ class TestCheckpointEquivalence:
         resumed.run_remaining()
 
 
-class TestShardedCheckpoint:
-    def test_sharded_kill_resume_with_checkpoints(self, tmp_path):
-        trace = generate_trace(
-            "tree", events=250, process="poisson", seed=5,
-            departure_prob=0.3,
-            workload={"n": 120, "boundary_fraction": 0.1, "parts": 2},
-        )
-        path = tmp_path / "sharded.journal"
-        svc = AdmissionService(trace, "greedy-threshold", shards=2,
-                               journal_path=str(path), fmt="binary",
-                               checkpoint_every=40)
-        for ev in trace.events[:100]:
-            svc.submit_event(ev)
-        del svc
-        baseline = AdmissionService(trace, "greedy-threshold", shards=2)
-        for ev in trace.events:
-            baseline.submit_event(ev)
-        expected = baseline.close()
-        resumed = AdmissionService.resume(str(path))
-        assert resumed.position == 100
-        result = resumed.run_remaining()
-        assert deterministic(result) == deterministic(expected)
-        assert result.admission_log == expected.admission_log
-
-
 class TestDirectoryDurability:
     def test_atomic_dump_fsyncs_directory(self, tmp_path, monkeypatch):
         import repro.io as rio

@@ -30,7 +30,9 @@ from repro.online import (
     geometry_of,
     make_policy,
 )
+from repro.online.events import EventTrace
 from repro.session.kernel import AdmissionSession, certificate_of
+from repro.sharding.driver import _split_streams
 from repro.sharding.planner import ShardPlanner
 
 POLICIES = [
@@ -45,6 +47,12 @@ def _trace(topology="line", events=1500, seed=0, **kw):
     wl = {"n_slots": 256} if topology == "line" else {"n": 256}
     return generate_trace(topology, events=events, process="poisson",
                           seed=seed, departure_prob=0.35, workload=wl, **kw)
+
+
+def _shard_trace(plan, trace, s):
+    """Shard ``s``'s local stream as a trace over its subproblem."""
+    return EventTrace(problem=plan.subproblem(s),
+                      events=_split_streams(plan, trace)[s])
 
 
 def _signature(session, policy_name):
@@ -115,11 +123,11 @@ class TestByteIdentity:
     def test_shard_sliced_views(self, shards, policy_name, params):
         """The fast path is byte-identical on shard-sliced subproblems
         (densified demand ids, sliced conflict index) — the exact views
-        the streamed sharded driver feeds."""
+        the sharded driver feeds."""
         trace = _trace("tree", seed=5)
         plan = ShardPlanner("subtree").plan(trace.problem, shards)
         for s in range(shards):
-            sub = plan.subtrace(s, trace)
+            sub = _shard_trace(plan, trace, s)
             if not sub.events:
                 continue
             scalar = _feed_sig(sub, policy_name, params, fastpath=False)
@@ -241,7 +249,7 @@ class TestRunSegmenter:
         trace = _trace("tree", seed=9)
         plan = ShardPlanner("subtree").plan(trace.problem, 2)
         for s in range(2):
-            sub = plan.subtrace(s, trace)
+            sub = _shard_trace(plan, trace, s)
             if not sub.events:
                 continue
             geom = geometry_of(CapacityLedger(sub.problem))

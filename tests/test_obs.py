@@ -361,16 +361,16 @@ class TestForkMerge:
     def test_inline_and_forked_record_same_span_sequence(self, tree_trace):
         import multiprocessing as mp
 
-        from repro.sharding import StreamedShardedDriver
+        from repro.sharding import ShardedDriver
 
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("fork start method unavailable")
         tracing.enable(capacity=1 << 15)
-        StreamedShardedDriver(2, processes=1).run(
+        ShardedDriver(2, processes=1).run(
             tree_trace, "greedy-threshold", {})
         inline_names = [e[0] for e in RECORDER.events()]
         RECORDER.clear()
-        StreamedShardedDriver(2, processes=2).run(
+        ShardedDriver(2, processes=2).run(
             tree_trace, "greedy-threshold", {})
         forked_names = [e[0] for e in RECORDER.events()]
         assert "shard.phaseA" in inline_names
@@ -443,11 +443,6 @@ class TestDashboard:
         assert "-" in frame
         # No dual bound -> no gap claim, rendered as the null marker.
         assert "%" in frame
-
-    def test_render_shows_shard_rows(self):
-        frame = render_dashboard(_stats_doc(shards=[
-            {"shard": 0, "admitted": 5, "utilization": 0.25}]), None, 0.0)
-        assert "shard   0" in frame
 
     def test_top_and_trace_against_live_async_server(self, line_trace,
                                                      tmp_path):

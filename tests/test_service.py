@@ -56,7 +56,6 @@ class TestJournalRoundTrip:
     def test_header_and_events_round_trip(self, small_trace, tmp_path):
         path = str(tmp_path / "j.log")
         header = {"policy": "dual-gated", "params": {"eta": 1.5},
-                  "shards": 1, "shard_by": "subtree",
                   "trace": __import__("repro.io", fromlist=["trace_to_dict"]
                                       ).trace_to_dict(small_trace)}
         with JournalWriter(path, header) as jw:
@@ -228,6 +227,25 @@ class TestRequestAPI:
         svc.handle({"op": "close"})
         assert "closed" in svc.handle({"op": "tick"})["error"]
 
+    @pytest.mark.parametrize("req", [[], "x", 3, None, [{"op": "tick"}]],
+                             ids=["list", "str", "int", "null", "batch"])
+    def test_non_object_request_is_an_error_response(self, tmp_path, req):
+        tr = poisson_trace("line", events=30, seed=9, departure_prob=0.0)
+        path = tmp_path / "j.log"
+        svc = AdmissionService(tr, "greedy-threshold",
+                               journal_path=str(path))
+        svc.handle({"op": "admit", "demand": 0, "time": 1.0})
+        svc.journal.commit()
+        journal_before = path.read_bytes()
+        snap_before = svc.session.snapshot()
+        resp = svc.handle(req)
+        assert resp == {"ok": False,
+                        "error": "request must be a JSON object"}
+        svc.journal.commit()
+        assert path.read_bytes() == journal_before
+        assert svc.session.snapshot() == snap_before
+        assert svc.position == 1
+
     def test_serve_lines_transport(self, tmp_path):
         tr = poisson_trace("line", events=30, seed=9, departure_prob=0.0)
         svc = AdmissionService(tr, "greedy-threshold",
@@ -246,6 +264,11 @@ class TestRequestAPI:
 
 
 class TestShardedBackend:
+    """Journals written while the service still had a sharded backend
+    carry ``shards``/``shard_by`` in their header.  Resume ignores those
+    keys: the global coordinator always decided, so the outcome equals
+    an uninterrupted unsharded replay."""
+
     @pytest.fixture(scope="class")
     def tree_trace(self):
         return generate_trace("tree", events=250, seed=5,
@@ -254,38 +277,23 @@ class TestShardedBackend:
                                         "boundary_fraction": 0.1,
                                         "parts": 2})
 
-    @pytest.mark.parametrize("policy", ["greedy-threshold",
-                                        "preempt-density"])
-    def test_matches_unsharded_replay(self, tree_trace, policy):
-        """The coordinator decides, so sharding the backend never
-        changes a decision — the shard ledgers are mirrored views."""
-        params = POLICY_PARAMS[policy]
-        svc = AdmissionService(tree_trace, policy, params, shards=2)
-        _drain(svc, tree_trace.events)
-        result = svc.close()
-        direct = replay(tree_trace, make_policy(policy, **params))
-        assert deterministic_metrics(result.metrics) == \
-            deterministic_metrics(direct.metrics)
-
-    def test_shard_views_consistent(self, tree_trace):
-        svc = AdmissionService(tree_trace, "greedy-threshold", shards=2)
-        _drain(svc, tree_trace.events)
-        stats = svc.stats()
-        assert len(stats["shards"]) == 2
-        mirrored = sum(row["admitted"] for row in stats["shards"])
-        assert mirrored + stats["boundary_admitted"] == \
-            stats["num_admitted"]
-        svc.close()  # verifies coordinator + every shard ledger
-
     def test_sharded_warm_restart(self, tree_trace, tmp_path):
-        path = str(tmp_path / "j.log")
         full = replay(tree_trace, make_policy("greedy-threshold"))
-        svc = AdmissionService(tree_trace, "greedy-threshold",
-                               journal_path=path, shards=2)
-        _drain(svc, tree_trace.events[:100])
-        del svc
-        resumed = AdmissionService.resume(path)
-        assert resumed.shards == 2  # backend shape travels in the header
-        result = resumed.run_remaining()
-        assert deterministic_metrics(result.metrics) == \
-            deterministic_metrics(full.metrics)
+        for fmt in ("jsonl", "binary"):
+            path = str(tmp_path / f"old.{fmt}")
+            svc = AdmissionService(tree_trace, "greedy-threshold")
+            header = {**svc._header(), "checkpoint_every": 40,
+                      "shards": 2, "shard_by": "subtree"}
+            with JournalWriter(path, header, fmt=fmt) as jw:
+                for k, ev in enumerate(tree_trace.events[:100], 1):
+                    jw.append(ev)
+                    svc.submit_event(ev)
+                    if k == 40:
+                        jw.checkpoint(svc.checkpoint_state())
+            resumed = AdmissionService.resume(path)
+            assert resumed.position == 100
+            assert "shards" not in resumed._header()
+            result = resumed.run_remaining()
+            assert deterministic_metrics(result.metrics) == \
+                deterministic_metrics(full.metrics), fmt
+            assert result.admission_log == full.admission_log, fmt

@@ -1,4 +1,4 @@
-"""Tests for the sharded admission engine (planner, ledger, driver).
+"""Tests for the sharded admission engine (planner and driver).
 
 The load-bearing guarantees:
 
@@ -9,7 +9,7 @@ The load-bearing guarantees:
 * multi-shard runs stay feasible (coordinator-verified) and diverge
   from the unsharded replay by at most the planner's boundary bound on
   the pinned corpus;
-* pool and inline phase-A execution decide identically.
+* forked and inline phase-A execution decide identically.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ import pytest
 from repro.io import load_trace
 from repro.online import generate_trace, make_policy, replay
 from repro.online.metrics import deterministic_metrics as _deterministic
-from repro.sharding import (
-    ShardedDriver,
-    ShardedLedger,
-    ShardPlanner,
-)
+from repro.online.events import EventTrace
+from repro.sharding import ShardedDriver, ShardPlanner
+from repro.sharding.driver import _split_streams
 from repro.workloads import random_line_problem, random_tree_problem
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -66,12 +64,13 @@ class TestShardPlanner:
             owners = {plan.edge_shard[ge]
                       for ge in problem.global_edges_of(inst)}
             d = inst.demand_id
-            assert owners <= set(plan.shards_of(d))
+            assert owners <= set(plan.demand_shards[d])
+        boundary = set(plan.boundary_demands)
         for d in range(problem.num_demands):
-            if plan.is_boundary(d):
-                assert len(plan.shards_of(d)) > 1
+            if d in boundary:
+                assert len(plan.demand_shards[d]) > 1
             else:
-                assert len(plan.shards_of(d)) == 1
+                assert len(plan.demand_shards[d]) == 1
         # Local demand lists partition the non-boundary demands.
         locals_flat = [d for ids in plan.shard_demands for d in ids]
         assert sorted(locals_flat + plan.boundary_demands) == list(
@@ -89,6 +88,7 @@ class TestShardPlanner:
 
     def test_subproblem_and_subtrace_align(self, tree_trace):
         plan = ShardPlanner("subtree").plan(tree_trace.problem, 2)
+        streams = _split_streams(plan, tree_trace)
         for s in range(2):
             sub = plan.subproblem(s)
             assert sub.num_demands == len(plan.shard_demands[s])
@@ -96,10 +96,10 @@ class TestShardPlanner:
             for i, d in enumerate(plan.shard_demands[s]):
                 assert sub.demands[i].profit == \
                     tree_trace.problem.demands[d].profit
-            # Sub-trace construction re-validates the event stream.
-            st = plan.subtrace(s, tree_trace)
+            # The local stream is a valid trace over the subproblem
+            # (EventTrace re-validates it).
+            st = EventTrace(problem=sub, events=streams[s])
             assert st.num_arrivals == sub.num_demands
-            assert st.meta["shard"] == s
         # Boundary events cover exactly the cut-crossing demands.
         boundary = plan.boundary_events(tree_trace)
         seen = {ev.demand_id for ev in boundary if hasattr(ev, "demand_id")}
@@ -110,8 +110,10 @@ class TestShardPlanner:
         plan = ShardPlanner("subtree").plan(problem, 2)
         for s in range(2):
             sub = plan.subproblem(s)
+            imap = plan.instance_map(s)
+            assert len(imap) == len(sub.instances())
             for inst in sub.instances():
-                g = plan.global_instance_of(s, inst.instance_id)
+                g = imap[inst.instance_id]
                 ginst = problem.instances()[g]
                 assert ginst.network_id == inst.network_id
                 assert ginst.profit == inst.profit
@@ -215,6 +217,7 @@ class TestMultiShard:
         the boundary broker; the merged set stays verified-feasible."""
         res = ShardedDriver(2, "subtree").run(tree_trace, policy, params)
         assert len(res.shard_results) == 2
+        assert [r.trace_meta["shard"] for r in res.shard_results] == [0, 1]
         assert res.merged.accepted >= 0
         # Merged profit decomposes exactly into shard + boundary rows.
         parts = [r.metrics.realized_profit for r in res.shard_results]
@@ -223,6 +226,8 @@ class TestMultiShard:
         assert res.merged.realized_profit == pytest.approx(sum(parts))
 
     def test_pool_matches_inline(self):
+        """Forked workers (``processes=2``) and inline replay decide
+        identically."""
         trace = generate_trace("tree", events=400, process="poisson",
                                seed=7, departure_prob=0.3,
                                workload={"n": 96, "locality": 0.1})
@@ -258,80 +263,3 @@ class TestMultiShard:
         assert res.merged.dual_upper_bound is not None
         opt = offline_optimum(tree_trace, "exact")
         assert res.merged.dual_upper_bound >= opt - 1e-6
-
-
-class TestShardedLedger:
-    def test_local_routing_mirrors_coordinator(self, tree_trace):
-        plan = ShardPlanner("subtree").plan(tree_trace.problem, 2)
-        sl = ShardedLedger(tree_trace.problem, plan)
-        # Admit one local demand from each shard through the router.
-        admitted = []
-        for s in range(2):
-            for d in plan.shard_demands[s]:
-                gid = sl.try_admit(d)
-                if gid is not None:
-                    admitted.append((s, d, gid))
-                    break
-        assert admitted, "no local demand admitted"
-        for s, d, gid in admitted:
-            local = plan.shard_demands[s].index(d)
-            assert sl.shard_ledger(s).is_admitted(local)
-            assert sl.coordinator.is_admitted(d)
-        sl.verify()
-        # Releases clear both views.
-        for s, d, gid in admitted:
-            sl.release(d)
-        assert sl.num_admitted == 0
-        for s, d, gid in admitted:
-            assert not sl.shard_ledger(s).is_admitted(
-                plan.shard_demands[s].index(d)
-            )
-
-    def test_boundary_goes_through_coordinator_only(self, tree_trace):
-        plan = ShardPlanner("subtree").plan(tree_trace.problem, 2)
-        if not plan.boundary_demands:
-            pytest.skip("plan has no boundary demand")
-        sl = ShardedLedger(tree_trace.problem, plan)
-        d = plan.boundary_demands[0]
-        gid = sl.try_admit(d)
-        assert gid is not None
-        assert sl.coordinator.is_admitted(d)
-
-    def test_two_phase_commit_withdraws_on_conflict(self, tree_trace):
-        """A boundary holder on a local route makes the coordinator
-        refuse the mirror; the tentative shard admission is withdrawn."""
-        plan = ShardPlanner("subtree").plan(tree_trace.problem, 2)
-        problem = tree_trace.problem
-        # Find a boundary demand sharing an edge with a local demand.
-        edges_of_demand = {}
-        for inst in problem.instances():
-            edges_of_demand.setdefault(inst.demand_id, set()).update(
-                problem.global_edges_of(inst)
-            )
-        pair = None
-        for b in plan.boundary_demands:
-            for s in range(2):
-                for d in plan.shard_demands[s]:
-                    if edges_of_demand[b] & edges_of_demand[d]:
-                        pair = (b, s, d)
-                        break
-                if pair:
-                    break
-            if pair:
-                break
-        if pair is None:
-            pytest.skip("no boundary/local edge overlap in this corpus")
-        b, s, d = pair
-        sl = ShardedLedger(problem, plan)
-        assert sl.try_admit(b) is not None  # boundary demand holds edges
-        local = plan.shard_demands[s].index(d)
-        before = sl.shard_ledger(s).num_admitted
-        gid = sl.try_admit(d)
-        if gid is None:
-            # Refused: the shard view must have been rolled back cleanly.
-            assert sl.shard_ledger(s).num_admitted == before
-            assert not sl.shard_ledger(s).was_admitted(local)
-        else:
-            # Heights permitted coexistence; both views agree.
-            assert sl.coordinator.is_admitted(d)
-        sl.verify()

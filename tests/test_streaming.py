@@ -1,47 +1,40 @@
-"""Tests for the streamed sharding backend (``repro.sharding.streaming``).
+"""Tests for the shared-geometry sharded driver (``repro.sharding.driver``).
 
 The load-bearing guarantees:
 
-* the **two-phase** streamed driver is *byte-identical* to the
-  classic :class:`~repro.sharding.ShardedDriver` — merged metrics,
-  per-shard results, boundary result and final admitted set — at
-  shards ∈ {1, 2, 4} for every registered policy (the shared-geometry
-  fast path changes cost, never outcome);
+* the driver is *byte-identical* to the pinned outcomes in
+  ``tests/data/sharded_expected.json`` — merged metrics, per-shard
+  results, boundary result and final admitted set — at shards ∈ {1, 2,
+  4} for every registered policy, inline and forked (see
+  ``tests/make_sharded_expected.py``);
 * the shared :class:`~repro.core.conflict.ConflictIndex` slices answer
   exactly as from-scratch per-shard builds;
-* ``_split_streams`` routes the trace event-for-event identically to
-  ``plan.subtrace`` / ``plan.boundary_events``;
-* the **eager** watermark boundary mode is deterministic: inline and
-  forked execution produce byte-identical results.
+* ``_split_streams`` routes every local event to its owning shard with
+  densified ids, every tick to every shard, and nothing else.
 """
 
 from __future__ import annotations
 
-import pathlib
+import json
 
 import pytest
 
 from repro.io import load_trace
-from repro.online.metrics import deterministic_metrics as _deterministic
+from repro.online.events import Tick
 from repro.online.state import CapacityLedger
-from repro.sharding import (
-    ShardedDriver,
-    ShardPlanner,
-    SharedGeometry,
-    StreamedShardedDriver,
-)
-from repro.sharding.streaming import _split_streams
+from repro.sharding import ShardPlanner, SharedGeometry
+from repro.sharding.driver import _split_streams
+from tests.make_sharded_expected import (DATA_DIR, GRID, OUT,
+                                         result_fingerprint, run_point)
 
-DATA_DIR = pathlib.Path(__file__).parent / "data"
+#: grid key -> (trace stem, shard_by, shards, policy, params).
+POINTS = {key: rest for key, *rest in GRID}
 
-#: The corpus policy grid (mirrors tests/make_trace_corpus.py).
-POLICIES = [
-    ("greedy-threshold", {}),
-    ("dual-gated", {}),
-    ("batch-resolve", {"solver": "greedy", "resolve_every": 32}),
-    ("preempt-density", {"factor": 1.2}),
-    ("preempt-dual-gated", {"penalty": 0.1}),
-]
+
+@pytest.fixture(scope="module")
+def expected():
+    with open(OUT) as fh:
+        return json.load(fh)
 
 
 @pytest.fixture(scope="module")
@@ -49,76 +42,30 @@ def tree_trace():
     return load_trace(str(DATA_DIR / "trace_poisson_tree.json"))
 
 
-@pytest.fixture(scope="module")
-def line_trace():
-    return load_trace(str(DATA_DIR / "trace_bursty_line.json"))
-
-
-def _result_fingerprint(result) -> dict:
-    """Everything deterministic a sharded replay produced."""
-    doc = {
-        "merged": _deterministic(result.merged),
-        "plan": result.plan,
-        "shards": [
-            {
-                "metrics": _deterministic(r.metrics),
-                "admissions": r.admission_log,
-                "evictions": r.eviction_log,
-                "selected": sorted(
-                    (i.demand_id, i.instance_id)
-                    for i in r.final_solution.selected
-                ) if r.final_solution is not None else None,
-            }
-            for r in result.shard_results
-        ],
-        "boundary": (
-            {
-                "metrics": _deterministic(result.boundary_result.metrics),
-                "admissions": result.boundary_result.admission_log,
-                "evictions": result.boundary_result.eviction_log,
-            }
-            if result.boundary_result is not None else None
-        ),
-        "selected": sorted(
-            (i.demand_id, i.instance_id)
-            for i in result.merged_solution.selected
-        ) if result.merged_solution is not None else None,
-    }
-    return doc
+def _check(expected, key: str, processes: int = 1) -> None:
+    result = run_point(*POINTS[key], processes=processes)
+    assert result_fingerprint(result) == expected[key]
 
 
 class TestTwoPhaseByteIdentity:
-    @pytest.mark.parametrize("policy,params", POLICIES,
-                             ids=[p for p, _ in POLICIES])
+    @pytest.mark.parametrize("policy", [
+        "greedy-threshold", "dual-gated", "batch-resolve",
+        "preempt-density", "preempt-dual-gated"])
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_tree_identical_to_sharded_driver(self, tree_trace, shards,
-                                              policy, params):
-        base = ShardedDriver(shards, processes=1).run(
-            tree_trace, policy, params)
-        streamed = StreamedShardedDriver(shards, processes=1).run(
-            tree_trace, policy, params)
-        assert streamed.mode == "two-phase"
-        assert _result_fingerprint(streamed) == _result_fingerprint(base)
+    def test_tree_identical_to_sharded_driver(self, expected, shards,
+                                              policy):
+        _check(expected, f"tree/{policy}/{shards}")
 
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_line_identical_to_sharded_driver(self, line_trace, shards):
-        base = ShardedDriver(shards, shard_by="layer", processes=1).run(
-            line_trace, "greedy-threshold")
-        streamed = StreamedShardedDriver(
-            shards, shard_by="layer", processes=1).run(
-            line_trace, "greedy-threshold")
-        assert _result_fingerprint(streamed) == _result_fingerprint(base)
+    def test_line_identical_to_sharded_driver(self, expected, shards):
+        _check(expected, f"line/greedy-threshold/{shards}")
 
-    def test_forked_matches_inline(self, tree_trace):
+    def test_forked_matches_inline(self, expected):
         import multiprocessing as mp
 
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-        inline = StreamedShardedDriver(2, processes=1).run(
-            tree_trace, "preempt-density", {"factor": 1.2})
-        forked = StreamedShardedDriver(2, processes=2).run(
-            tree_trace, "preempt-density", {"factor": 1.2})
-        assert _result_fingerprint(forked) == _result_fingerprint(inline)
+        _check(expected, "tree/preempt-density/2", processes=2)
 
 
 class TestSharedGeometry:
@@ -160,55 +107,26 @@ class TestSplitStreams:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_routes_match_plan_subtraces(self, tree_trace, shards):
         plan = ShardPlanner("subtree").plan(tree_trace.problem, shards)
-        shard_events, shard_gidx, boundary_events, boundary_gidx, _ = (
-            _split_streams(plan, tree_trace))
-        for s in range(plan.n_shards):
-            expect = plan.subtrace(s, tree_trace).events
-            assert shard_events[s] == list(expect)
-            # Watermark indexes are strictly increasing positions into
-            # the global stream.
-            assert shard_gidx[s] == sorted(shard_gidx[s])
-            assert all(tree_trace.events[i] == ev for i, ev in
-                       zip(shard_gidx[s], shard_events[s])
-                       if not hasattr(ev, "demand_id"))
-        assert boundary_events == list(plan.boundary_events(tree_trace))
-        assert boundary_gidx == sorted(boundary_gidx)
-
-
-class TestEagerBoundary:
-    def test_eager_inline_matches_fork(self, tree_trace):
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        inline = StreamedShardedDriver(2, boundary="eager",
-                                       processes=1).run(
-            tree_trace, "greedy-threshold")
-        forked = StreamedShardedDriver(2, boundary="eager",
-                                       processes=2).run(
-            tree_trace, "greedy-threshold")
-        assert inline.mode == "eager"
-        assert _result_fingerprint(forked) == _result_fingerprint(inline)
-
-    def test_eager_single_shard_matches_two_phase(self, tree_trace):
-        # With one shard there is no cross-shard race: the eager merge
-        # degenerates to the serialized order, so outcomes must agree
-        # with the two-phase mode's deterministic counters.
-        eager = StreamedShardedDriver(1, boundary="eager",
-                                      processes=1).run(
-            tree_trace, "greedy-threshold")
-        two = StreamedShardedDriver(1, processes=1).run(
-            tree_trace, "greedy-threshold")
-        assert (_deterministic(eager.merged)
-                == _deterministic(two.merged))
-
-    def test_eager_is_feasible_and_accounts_withdrawals(self, tree_trace):
-        result = StreamedShardedDriver(2, boundary="eager",
-                                       processes=1).run(
-            tree_trace, "greedy-threshold")
-        streaming = result.policy_stats["streaming"]
-        assert streaming["withdrawn"]["count"] >= 0
-        assert streaming["boundary_decided_early"] >= 0
-        merged = _deterministic(result.merged)
-        assert merged["accepted"] >= 0
-        assert result.merged_solution is not None
+        streams = _split_streams(plan, tree_trace)
+        assert len(streams) == plan.n_shards
+        ticks = [ev for ev in tree_trace.events if isinstance(ev, Tick)]
+        for s, ids in enumerate(plan.shard_demands):
+            # Exactly the shard's local events plus every tick, in trace
+            # order, with ids densified by ascending global id.
+            expect = [
+                ev if isinstance(ev, Tick)
+                else type(ev)(ev.time, ids.index(ev.demand_id))
+                for ev in tree_trace.events
+                if isinstance(ev, Tick) or ev.demand_id in ids
+            ]
+            assert streams[s] == expect
+            assert [ev for ev in streams[s] if isinstance(ev, Tick)] == ticks
+        local = sum(len(ids) for ids in plan.shard_demands)
+        demand_events = sum(len(st) - len(ticks) for st in streams)
+        boundary = [ev for ev in plan.boundary_events(tree_trace)
+                    if not isinstance(ev, Tick)]
+        # Local and boundary events partition the trace's demand events.
+        assert demand_events + len(boundary) == (
+            len(tree_trace.events) - len(ticks))
+        assert local + len(plan.boundary_demands) == (
+            tree_trace.problem.num_demands)
