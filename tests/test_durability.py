@@ -369,6 +369,44 @@ class TestCheckpointEquivalence:
         resumed.run_remaining()
 
 
+class TestShardedCheckpoint:
+    def test_sharded_kill_resume_with_checkpoints(self, tmp_path,
+                                                  monkeypatch):
+        """A binary journal from a sharded service (its header carries
+        ``shards``/``shard_by``), with checkpoints, killed mid-stream,
+        resumes to the same outcome as an unsharded straight run."""
+        trace = generate_trace(
+            "tree", events=250, process="poisson", seed=5,
+            departure_prob=0.3,
+            workload={"n": 120, "boundary_fraction": 0.1, "parts": 2},
+        )
+        path = tmp_path / "sharded.journal"
+        plain_header = AdmissionService._header
+        monkeypatch.setattr(
+            AdmissionService, "_header",
+            lambda self: {**plain_header(self), "shards": 2,
+                          "shard_by": "subtree"})
+        svc = AdmissionService(trace, "greedy-threshold",
+                               journal_path=str(path), fmt="binary",
+                               checkpoint_every=40)
+        for ev in trace.events[:100]:
+            svc.submit_event(ev)
+        del svc
+        monkeypatch.setattr(AdmissionService, "_header", plain_header)
+        header, ckpt, _tail, _g, detected = scan_journal(str(path))
+        assert header["shards"] == 2 and detected == "binary"
+        assert ckpt is not None and ckpt["position"] == 80
+        baseline = AdmissionService(trace, "greedy-threshold")
+        for ev in trace.events:
+            baseline.submit_event(ev)
+        expected = baseline.close()
+        resumed = AdmissionService.resume(str(path))
+        assert resumed.position == 100
+        result = resumed.run_remaining()
+        assert deterministic(result) == deterministic(expected)
+        assert result.admission_log == expected.admission_log
+
+
 class TestDirectoryDurability:
     def test_atomic_dump_fsyncs_directory(self, tmp_path, monkeypatch):
         import repro.io as rio
