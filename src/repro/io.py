@@ -58,6 +58,7 @@ from .core.solution import Solution
 from .network.line import LineNetwork
 from .network.tree import TreeNetwork
 from .obs.tracing import RECORDER as _REC
+from .online.events import Arrival, Departure, EventTrace, Tick, make_event
 
 __all__ = [
     "problem_to_dict",
@@ -222,30 +223,8 @@ def solution_from_dict(doc: dict, problem) -> Solution:
     return Solution(selected=selected, stats=dict(doc.get("stats", {})))
 
 
-_EVENT_TYPES: tuple | None = None
-
-
-def _event_types() -> tuple:
-    """``(Arrival, Departure, Tick)``, imported once on first use.
-
-    Lazy because the ``online`` package imports this module back: a
-    top-level import here would cycle through ``online/__init__`` while
-    ``repro.io`` is still half-initialized.  The codec hot paths call
-    this per event, so it must stay a cached-global lookup rather than
-    a per-call ``import``.
-    """
-    global _EVENT_TYPES
-    if _EVENT_TYPES is None:
-        from .online.events import Arrival, Departure, Tick
-
-        _EVENT_TYPES = (Arrival, Departure, Tick)
-    return _EVENT_TYPES
-
-
 def event_to_dict(ev) -> dict:
     """Serialize one Arrival/Departure/Tick (the trace event schema)."""
-    Arrival, Departure, Tick = _event_types()
-
     if isinstance(ev, Arrival):
         return {"type": "arrival", "time": ev.time, "demand": ev.demand_id}
     if isinstance(ev, Departure):
@@ -256,19 +235,11 @@ def event_to_dict(ev) -> dict:
 
 
 def event_from_dict(rec: dict):
-    """Inverse of :func:`event_to_dict`."""
-    Arrival, Departure, Tick = _event_types()
-
+    """Inverse of :func:`event_to_dict`, under the record spec of
+    :func:`~repro.online.events.make_event` (no coercion)."""
     if not isinstance(rec, dict):
         raise ValueError(f"event record must be an object, got {rec!r}")
-    etype = rec.get("type")
-    if etype == "arrival":
-        return Arrival(float(rec["time"]), int(rec["demand"]))
-    if etype == "departure":
-        return Departure(float(rec["time"]), int(rec["demand"]))
-    if etype == "tick":
-        return Tick(float(rec["time"]))
-    raise ValueError(f"unknown event type {etype!r}")
+    return make_event(rec.get("type"), rec.get("time"), rec.get("demand"))
 
 
 def trace_to_dict(trace) -> dict:
@@ -289,8 +260,6 @@ def trace_to_dict(trace) -> dict:
 
 def trace_from_dict(doc: dict):
     """Inverse of :func:`trace_to_dict` (re-validates the event stream)."""
-    from .online.events import EventTrace
-
     version = doc.get("format")
     if version != TRACE_FORMAT_VERSION:
         raise ValueError(f"unsupported trace format version {version!r}")
@@ -406,8 +375,6 @@ _LEN_STRUCT = struct.Struct("<I")
 
 
 def _pack_event_binary(ev) -> bytes:
-    Arrival, Departure, Tick = _event_types()
-
     if isinstance(ev, Arrival):
         payload = _EVENT_STRUCT.pack(1, ev.time, ev.demand_id)
     elif isinstance(ev, Departure):
@@ -420,16 +387,8 @@ def _pack_event_binary(ev) -> bytes:
 
 
 def _unpack_event_binary(payload: bytes):
-    Arrival, Departure, Tick = _event_types()
-
     code, time_, demand = _EVENT_STRUCT.unpack(payload)
-    if code == 1:
-        return Arrival(time_, demand)
-    if code == 2:
-        return Departure(time_, demand)
-    if code == 3:
-        return Tick(time_)
-    raise ValueError(f"unknown binary event code {code}")
+    return make_event(_ETYPE_NAME.get(code), time_, demand)
 
 
 def _frame_binary(rtype: int, payload: bytes) -> bytes:

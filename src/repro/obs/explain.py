@@ -20,6 +20,8 @@ distinguish.
 
 from __future__ import annotations
 
+from ..online.events import check_known
+
 __all__ = ["explain_demand"]
 
 
@@ -56,8 +58,7 @@ def explain_demand(problem, ledger, policy, demand_id: int, *,
     arrived/departed stream sets (so status distinguishes "rejected"
     from "not arrived yet").
     """
-    if not (0 <= demand_id < problem.num_demands):
-        raise ValueError(f"unknown demand {demand_id}")
+    check_known(demand_id, problem.num_demands)
     demand = problem.demands[demand_id]
     price_of = getattr(policy, "route_price", None)
     preemptive = callable(getattr(policy, "_execute_preemption", None))

@@ -38,6 +38,12 @@ __all__ = [
     "Departure",
     "Tick",
     "EventTrace",
+    "StreamState",
+    "check_demand",
+    "check_event",
+    "check_known",
+    "check_time",
+    "make_event",
     "ARRIVAL_PROCESSES",
     "generate_trace",
     "poisson_trace",
@@ -72,6 +78,106 @@ class Tick:
     time: float
 
 
+# ----------------------------------------------------------------------
+# The event validity spec.  Every boundary that turns outside input into
+# events (trace files, both journal codecs, service requests) applies
+# these checks and no others; nothing is coerced.  Time order is not a
+# stream rule: a trace MUST be sorted by time (EventTrace checks that
+# itself), but the service journals interleaved clients' requests in the
+# order it takes them, whatever their timestamps, and resume replays
+# that journal order.
+# ----------------------------------------------------------------------
+
+
+def check_time(value) -> float:
+    """An event time MUST be a finite int or float (never a bool or a
+    string); returns it as a float."""
+    try:
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"event time must be a finite number, got {value!r}")
+
+
+def check_demand(value) -> int:
+    """A demand id MUST be an int >= 0 (never a bool)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"demand id must be an int >= 0, got {value!r}")
+    return value
+
+
+def make_event(etype, time, demand=None):
+    """Build one event from raw record fields: the type MUST be known,
+    the time pass :func:`check_time` and an arrival's or departure's id
+    pass :func:`check_demand`."""
+    if etype == "tick":
+        return Tick(check_time(time))
+    if etype == "arrival":
+        return Arrival(check_time(time), check_demand(demand))
+    if etype == "departure":
+        return Departure(check_time(time), check_demand(demand))
+    raise ValueError(f"unknown event type {etype!r}")
+
+
+def check_event(ev):
+    """:func:`make_event`'s record spec for a built event; returns it."""
+    cls = type(ev)
+    if cls is not Tick:
+        if cls is not Arrival and cls is not Departure:
+            raise TypeError(f"unknown event type {cls.__name__}")
+        check_demand(ev.demand_id)
+    check_time(ev.time)
+    return ev
+
+
+def check_known(demand_id: int, m: int) -> int:
+    """A demand id MUST name one of the population's ``m`` demands."""
+    if not 0 <= demand_id < m:
+        raise ValueError(f"unknown demand {demand_id}")
+    return demand_id
+
+
+class StreamState:
+    """The demands a stream of record-checked events has seen arrive and
+    depart, and its latest time: :meth:`check` is the stream spec,
+    :meth:`advance` records an event that passed it."""
+
+    __slots__ = ("m", "arrived", "departed", "last_time")
+
+    def __init__(self, m: int, arrived=(), departed=(),
+                 last_time: float = 0.0) -> None:
+        self.m = m
+        self.arrived = set(arrived)
+        self.departed = set(departed)
+        self.last_time = last_time
+
+    def check(self, ev) -> None:
+        """Raise :class:`ValueError` unless ``ev`` may come next: a
+        demand MUST be known, arrive at most once, and depart only after
+        arriving and at most once."""
+        if type(ev) is Tick:
+            return
+        d = check_known(ev.demand_id, self.m)
+        if type(ev) is Arrival:
+            if d in self.arrived:
+                raise ValueError(f"demand {d} arrives twice")
+        elif d not in self.arrived:
+            raise ValueError(f"demand {d} departs before arriving")
+        elif d in self.departed:
+            raise ValueError(f"demand {d} departs twice")
+
+    def advance(self, ev) -> None:
+        cls = type(ev)
+        if cls is Arrival:
+            self.arrived.add(ev.demand_id)
+        elif cls is Departure:
+            self.departed.add(ev.demand_id)
+        if ev.time > self.last_time:
+            self.last_time = ev.time
+
+
 @dataclass
 class EventTrace:
     """A replayable stream of events over a frozen demand population.
@@ -96,36 +202,17 @@ class EventTrace:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        m = self.problem.num_demands
-        arrived: set[int] = set()
-        departed: set[int] = set()
-        prev = -math.inf
+        stream = StreamState(self.problem.num_demands, last_time=-math.inf)
         for ev in self.events:
-            if ev.time < prev:
-                raise ValueError(
-                    f"events out of order: {ev!r} after time {prev}"
-                )
-            prev = ev.time
-            if isinstance(ev, Arrival):
-                if not (0 <= ev.demand_id < m):
-                    raise ValueError(f"arrival of unknown demand {ev.demand_id}")
-                if ev.demand_id in arrived:
-                    raise ValueError(f"demand {ev.demand_id} arrives twice")
-                arrived.add(ev.demand_id)
-            elif isinstance(ev, Departure):
-                if ev.demand_id not in arrived:
-                    raise ValueError(
-                        f"demand {ev.demand_id} departs before arriving"
-                    )
-                if ev.demand_id in departed:
-                    raise ValueError(f"demand {ev.demand_id} departs twice")
-                departed.add(ev.demand_id)
-            elif not isinstance(ev, Tick):
-                raise TypeError(f"unknown event type {type(ev).__name__}")
-        if len(arrived) != m:
-            raise ValueError(
-                f"{m} demands in the problem but {len(arrived)} arrivals"
-            )
+            check_event(ev)
+            if ev.time < stream.last_time:
+                raise ValueError(f"events out of order: {ev!r} after time "
+                                 f"{stream.last_time}")
+            stream.check(ev)
+            stream.advance(ev)
+        if len(stream.arrived) != stream.m:
+            raise ValueError(f"{stream.m} demands in the problem but "
+                             f"{len(stream.arrived)} arrivals")
 
     # ------------------------------------------------------------------
 

@@ -556,31 +556,6 @@ class CapacityLedger:
         """
         return self._remove(demand_id)
 
-    def withdraw(self, demand_id: int) -> int:
-        """Undo an admission as if it never happened; returns its instance.
-
-        The two-phase-commit rollback the sharded coordinator needs: a
-        tentative admission in one capacity view is withdrawn when
-        another view refuses it.  Unlike :meth:`release` (a served
-        departure, profit kept) and :meth:`evict` (a forfeited
-        preemption), a withdrawal erases the admission entirely — the
-        admission-log entry is removed, the profit counter is rolled
-        back, and the demand may be admitted again later.
-
-        Raises
-        ------
-        KeyError
-            If the demand is not currently admitted.
-        """
-        iid = self._remove(demand_id)
-        self._ever_admitted.discard(demand_id)
-        for k in range(len(self.admission_log) - 1, -1, -1):
-            if self.admission_log[k][0] == demand_id:
-                del self.admission_log[k]
-                break
-        self._profit_admitted -= float(self.instances[iid].profit)
-        return iid
-
     def evict(self, demand_id: int, penalty: float = 0.0) -> int:
         """Preemptively evict an admitted demand; returns its instance id.
 

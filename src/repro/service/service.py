@@ -68,12 +68,16 @@ from ..io import (
 from ..obs import tracing as _tracing
 from ..obs.explain import explain_demand
 from ..obs.metrics import MetricsRegistry
-from ..online.events import Arrival, Departure, EventTrace, Tick
+from ..online.events import (EventTrace, StreamState, check_demand,
+                             check_event, check_known, make_event)
 from ..online.policies import make_policy
 from ..session.kernel import (AdmissionSession, Decision, ReplayResult,
                               certificate_of)
 
 __all__ = ["AdmissionService"]
+
+#: The event type each single-event op builds.
+_OP_EVENT = {"admit": "arrival", "release": "departure", "tick": "tick"}
 
 
 class AdmissionService:
@@ -126,14 +130,10 @@ class AdmissionService:
             trace_meta=trace.meta)
         #: Events applied so far (== journal event count when journaling).
         self.position = 0
-        # Stream-validity bookkeeping, mirroring EventTrace's invariants:
-        # requests come from outside the process, so the service (not the
-        # kernel) is the layer that must reject duplicate arrivals and
-        # departures of absent demands with an error *response* instead
-        # of a half-applied event.
-        self._arrived: set[int] = set()
-        self._departed: set[int] = set()
-        self._last_time = 0.0
+        # Requests come from outside the process, so the service (not
+        # the kernel) rejects an event that breaks the stream spec, with
+        # an error response instead of a half-applied event.
+        self.stream = StreamState(trace.problem.num_demands)
         self._next_checkpoint = self.checkpoint_every or 0
         self.result: ReplayResult | None = None
         #: The service's metrics home (``stats`` op, --metrics-port).
@@ -167,61 +167,38 @@ class AdmissionService:
     # Event intake
     # ------------------------------------------------------------------
 
-    def _validate(self, ev, arrived: set | None = None,
-                  departed: set | None = None) -> None:
-        """Reject an invalid event against the given stream state
-        (defaults to the live sets; the batched path validates against
-        running copies so a bad batch is rejected whole)."""
-        arrived = self._arrived if arrived is None else arrived
-        departed = self._departed if departed is None else departed
-        m = self.trace.problem.num_demands
-        if isinstance(ev, (Arrival, Departure)):
-            if not (0 <= ev.demand_id < m):
-                raise ValueError(
-                    f"unknown demand {ev.demand_id} (population has {m})"
-                )
-        if isinstance(ev, Arrival):
-            if ev.demand_id in arrived:
-                raise ValueError(f"demand {ev.demand_id} already arrived")
-        elif isinstance(ev, Departure):
-            if ev.demand_id not in arrived:
-                raise ValueError(
-                    f"demand {ev.demand_id} departs before arriving"
-                )
-            if ev.demand_id in departed:
-                raise ValueError(f"demand {ev.demand_id} already departed")
-
     def submit_event(self, ev) -> Decision:
-        """Validate, journal (write-ahead), then apply one event."""
-        self._validate(ev)
+        """Check, journal (write-ahead), decide, then advance the stream."""
+        self.stream.check(check_event(ev))
         if self.journal is not None:
             self.journal.append(ev)
-        decision = self._apply(ev)
+        decision = self.session.submit(ev)
+        self.stream.advance(ev)
+        self.position += 1
         self._maybe_checkpoint()
         return decision
 
     def feed_events(self, events) -> dict:
-        """Validate, journal and apply a whole batch of raw events.
+        """Check, journal and decide a batch of record dicts or events.
 
         The batched hot path: one request decode, one validation sweep,
         one journal commit window and one dispatch loop amortized over
-        the batch.  The **whole batch is validated before anything is
-        journaled or applied**, so a bad record rejects the request
-        without half-applying a prefix.  Returns the response payload
-        (events applied, admissions the batch produced, stream
-        position, and the journal watermarks when journaling).
+        the batch.  The **whole batch is checked (on a copy of the
+        stream state) before anything is journaled or decided**, so a
+        bad record rejects the request without half-applying a prefix.
+        Returns the response payload (events applied, admissions the
+        batch produced, stream position, and the journal watermarks
+        when journaling).
         """
         if self.session.closed:
             raise RuntimeError("session is closed")
-        evs = [ev if isinstance(ev, (Arrival, Departure, Tick))
-               else event_from_dict(ev) for ev in events]
-        arrived, departed = set(self._arrived), set(self._departed)
+        evs = [event_from_dict(ev) if isinstance(ev, dict)
+               else check_event(ev) for ev in events]
+        cur = self.stream
+        stream = StreamState(cur.m, cur.arrived, cur.departed, cur.last_time)
         for ev in evs:
-            self._validate(ev, arrived, departed)
-            if isinstance(ev, Arrival):
-                arrived.add(ev.demand_id)
-            elif isinstance(ev, Departure):
-                departed.add(ev.demand_id)
+            stream.check(ev)
+            stream.advance(ev)
         journal = self.journal
         if journal is not None:
             for ev in evs:
@@ -232,16 +209,7 @@ class AdmissionService:
         # (decisions and journal bytes are identical either way — the
         # journal was written above, before any state changed).
         self.session.feed_many(evs)
-        arrived, departed = self._arrived, self._departed
-        last = self._last_time
-        for ev in evs:
-            if isinstance(ev, Arrival):
-                arrived.add(ev.demand_id)
-            elif isinstance(ev, Departure):
-                departed.add(ev.demand_id)
-            if ev.time > last:
-                last = ev.time
-        self._last_time = last
+        self.stream = stream
         self.position += len(evs)
         self._maybe_checkpoint()
         doc = {
@@ -253,17 +221,6 @@ class AdmissionService:
             doc["seq"] = journal.seq
             doc["commit_seq"] = journal.commit_seq
         return doc
-
-    def _apply(self, ev) -> Decision:
-        """Apply an already-journaled (or recovered) event."""
-        decision = self.session.submit(ev)
-        if isinstance(ev, Arrival):
-            self._arrived.add(ev.demand_id)
-        elif isinstance(ev, Departure):
-            self._departed.add(ev.demand_id)
-        self._last_time = max(self._last_time, ev.time)
-        self.position += 1
-        return decision
 
     # ------------------------------------------------------------------
     # Checkpoints
@@ -298,9 +255,9 @@ class AdmissionService:
         """
         return {
             "position": self.position,
-            "last_time": self._last_time,
-            "arrived": sorted(self._arrived),
-            "departed": sorted(self._departed),
+            "last_time": self.stream.last_time,
+            "arrived": sorted(self.stream.arrived),
+            "departed": sorted(self.stream.departed),
             "counters": self.session.export_counters(),
             "ledger": self.session.ledger.export_state(),
             "policy": self.session.policy.export_state(),
@@ -309,9 +266,9 @@ class AdmissionService:
     def _restore_state(self, state: dict) -> None:
         """Reset this freshly-built service to a checkpoint state."""
         self.position = int(state["position"])
-        self._last_time = float(state["last_time"])
-        self._arrived = {int(d) for d in state["arrived"]}
-        self._departed = {int(d) for d in state["departed"]}
+        self.stream = StreamState(
+            self.stream.m, (int(d) for d in state["arrived"]),
+            (int(d) for d in state["departed"]), float(state["last_time"]))
         self.session.restore_counters(state["counters"])
         self.session.ledger.restore_state(state["ledger"])
         self.session.policy.restore_state(state["policy"])
@@ -322,17 +279,11 @@ class AdmissionService:
     # ------------------------------------------------------------------
 
     def _event_of(self, req: dict):
-        op = req["op"]
-        if op == "submit":
+        if req["op"] == "submit":
             return event_from_dict(req["event"])
-        time = float(req.get("time", self._last_time))
-        if op == "admit":
-            return Arrival(time, int(req["demand"]))
-        if op == "release":
-            return Departure(time, int(req["demand"]))
-        if op == "tick":
-            return Tick(time)
-        raise ValueError(f"op {op!r} carries no event")
+        return make_event(_OP_EVENT[req["op"]],
+                          req.get("time", self.stream.last_time),
+                          req.get("demand"))
 
     def handle(self, req: object) -> dict:
         """Serve one request dict; always returns a response dict.
@@ -380,7 +331,7 @@ class AdmissionService:
                 return {"ok": True, "op": op, **self.feed_events(events)}
             if op == "query":
                 return {"ok": True, "op": op,
-                        **self.query(int(req["demand"]))}
+                        **self.query(check_demand(req["demand"]))}
             if op == "stats":
                 doc = self.stats()
                 # The fast-path counters ride along top-level too, so a
@@ -404,19 +355,19 @@ class AdmissionService:
                         "trace": _tracing.chrome_trace(events)}
             if op == "explain":
                 return {"ok": True, "op": op,
-                        "explain": self.explain(int(req["demand"]))}
+                        "explain": self.explain(check_demand(req["demand"]))}
             raise ValueError(
                 f"unknown op {op!r}; want admit/release/tick/submit/feed/"
                 "query/stats/snapshot/close/trace/explain"
             )
-        except (KeyError, ValueError, TypeError, RuntimeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError,
+                RuntimeError) as exc:
             return {"ok": False, "op": op, "error": str(exc)}
 
     def query(self, demand_id: int) -> dict:
         """One demand's admission status on the authoritative ledger."""
         ledger = self.session.ledger
-        if not (0 <= demand_id < self.trace.problem.num_demands):
-            raise ValueError(f"unknown demand {demand_id}")
+        check_known(demand_id, self.stream.m)
         return {
             "demand": demand_id,
             "admitted": ledger.is_admitted(demand_id),
@@ -430,7 +381,8 @@ class AdmissionService:
         :func:`~repro.obs.explain.explain_demand`)."""
         return explain_demand(
             self.trace.problem, self.session.ledger, self.session.policy,
-            demand_id, arrived=self._arrived, departed=self._departed)
+            demand_id, arrived=self.stream.arrived,
+            departed=self.stream.departed)
 
     def _sync_metrics(self) -> None:
         """Derive the registry's gauges from the live session state.
@@ -529,8 +481,9 @@ class AdmissionService:
         """Reconstruct a (journal-less) service from a journal.
 
         One streaming scan finds the last checkpoint and the event tail
-        after it; the checkpoint is restored, the tail replayed — cost
-        proportional to the tail, not total history.  Returns
+        after it; the checkpoint is restored, the tail checked and fed
+        through :meth:`feed_events` — cost proportional to the tail, not
+        total history.  A tail that breaks the stream spec fails.  Returns
         ``(service, good_bytes, fmt)`` so callers can reattach a writer
         or rewrite the file.  Headers written by older versions may carry
         ``shards``/``shard_by`` keys; they are ignored (the coordinator
@@ -547,8 +500,7 @@ class AdmissionService:
         )
         if ckpt is not None:
             svc._restore_state(ckpt)
-        for ev in tail:
-            svc._apply(ev)
+        svc.feed_events(tail)
         # Republish the cumulative gauges from the restored state, so a
         # dashboard scraping right after a warm restart sees the
         # pre-kill admit/reject/evict totals, not zeros.

@@ -295,9 +295,9 @@ class TestServiceOps:
         assert all({"instance", "feasible", "route_length", "density",
                     "passes_threshold"} <= set(row)
                    for row in exp["candidates"])
-        rejected = sorted(svc._arrived
+        rejected = sorted(svc.stream.arrived
                           - {d for d, _ in svc.session.ledger.admitted_items()}
-                          - svc._departed)
+                          - svc.stream.departed)
         if rejected:
             exp = svc.handle({"op": "explain",
                               "demand": rejected[0]})["explain"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.online import (
@@ -120,6 +122,13 @@ class TestEventTraceValidation:
         p = self._problem(m=3)
         with pytest.raises(ValueError, match="arrivals"):
             EventTrace(p, [Arrival(0.0, 0), Arrival(1.0, 1)])
+
+    def test_nan_led_trace_rejected(self):
+        # NaN compares false against everything, so the time-order
+        # check alone would let it (and the next event) through.
+        p = self._problem()
+        with pytest.raises(ValueError, match="finite"):
+            EventTrace(p, [Arrival(math.nan, 0), Arrival(2.0, 1)])
 
     def test_valid_trace_accepted(self):
         p = self._problem()

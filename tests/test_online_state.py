@@ -146,29 +146,6 @@ class TestLedgerConsistency:
 
 
 class TestWithdraw:
-    def test_withdraw_erases_the_admission(self):
-        tr = poisson_trace("line", events=60, seed=3, departure_prob=0.0)
-        ledger = CapacityLedger(tr.problem)
-        iid = ledger.try_admit(0)
-        assert iid is not None
-        profit = ledger.instances[iid].profit
-        assert ledger.admitted_profit == pytest.approx(profit)
-        back = ledger.withdraw(0)
-        assert back == iid
-        assert ledger.num_admitted == 0
-        assert ledger.admitted_profit == 0.0
-        assert ledger.admission_log == []
-        assert not ledger.was_admitted(0)
-        # Unlike release/evict, the demand may be admitted again.
-        assert ledger.try_admit(0) == iid
-        ledger.verify()
-
-    def test_withdraw_requires_admission(self):
-        tr = poisson_trace("line", events=60, seed=3, departure_prob=0.0)
-        ledger = CapacityLedger(tr.problem)
-        with pytest.raises(KeyError):
-            ledger.withdraw(0)
-
     def test_admitted_items_deterministic(self):
         tr = poisson_trace("line", events=80, seed=4, departure_prob=0.0)
         ledger = CapacityLedger(tr.problem)

@@ -10,11 +10,19 @@ registered policy.
 from __future__ import annotations
 
 import json
+import math
 import os
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 
 from repro.io import (
+    JOURNAL_FORMATS,
     JournalWriter,
     event_to_dict,
     read_journal,
@@ -215,12 +223,12 @@ class TestRequestAPI:
         assert "unknown demand" in \
             svc.handle({"op": "admit", "demand": 10**6})["error"]
         svc.handle({"op": "admit", "demand": 3, "time": 1.0})
-        assert "already arrived" in \
+        assert "arrives twice" in \
             svc.handle({"op": "admit", "demand": 3})["error"]
         assert "before arriving" in \
             svc.handle({"op": "release", "demand": 4})["error"]
         svc.handle({"op": "release", "demand": 3})
-        assert "already departed" in \
+        assert "departs twice" in \
             svc.handle({"op": "release", "demand": 3})["error"]
         # Errors never advanced the stream.
         assert svc.stats()["position"] == 2
@@ -261,6 +269,180 @@ class TestRequestAPI:
         assert not out[1]["ok"]
         assert all(r["ok"] for r in out[2:])
         assert closed["metrics"]["events"] == len(tr.events)
+
+
+def _strict_json(resp: dict) -> dict:
+    """Round-trip a response through a parser that refuses the
+    non-standard ``NaN``/``Infinity`` tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(json.dumps(resp), parse_constant=refuse)
+
+
+#: Values no event field may carry (the record spec coerces nothing).
+HOSTILE_TIMES = [math.nan, math.inf, -math.inf, "1e3"]
+HOSTILE_IDS = [True, 1.7, "3", -1]
+
+
+def _hostile_requests():
+    """``(id, request)`` pairs; demand 0 has arrived, demand 1 has not,
+    so each request is wrong in exactly one field."""
+    good = {"type": "arrival", "time": 2.0, "demand": 1}
+    cases = []
+    for t in HOSTILE_TIMES:
+        bad = {"type": "arrival", "time": t, "demand": 1}
+        for op, req in [
+            ("admit", {"op": "admit", "demand": 1, "time": t}),
+            ("release", {"op": "release", "demand": 0, "time": t}),
+            ("tick", {"op": "tick", "time": t}),
+            ("submit", {"op": "submit", "event": bad}),
+            ("feed", {"op": "feed", "events": [
+                good, {"type": "tick", "time": t}]}),
+        ]:
+            cases.append((f"{op}-time-{t!r}", req))
+    for d in HOSTILE_IDS:
+        for op, req in [
+            ("admit", {"op": "admit", "demand": d, "time": 2.0}),
+            ("release", {"op": "release", "demand": d, "time": 2.0}),
+            ("submit", {"op": "submit", "event": {
+                "type": "departure", "time": 2.0, "demand": d}}),
+            ("query", {"op": "query", "demand": d}),
+            ("explain", {"op": "explain", "demand": d}),
+            ("feed", {"op": "feed", "events": [
+                good, {"type": "arrival", "time": 3.0, "demand": d}]}),
+        ]:
+            cases.append((f"{op}-id-{d!r}", req))
+    cases.append(("trace-last-inf", {"op": "trace", "last": math.inf}))
+    return cases
+
+
+_HOSTILE = _hostile_requests()
+
+
+class TestHostileInput:
+    """Every boundary applies the one event spec: a request that breaks
+    it gets an ``ok: false`` response a strict JSON parser can read, and
+    changes neither the journal nor the session."""
+
+    @pytest.mark.parametrize("req", [r for _, r in _HOSTILE],
+                             ids=[i for i, _ in _HOSTILE])
+    def test_rejected_without_side_effects(self, tmp_path, req):
+        tr = poisson_trace("line", events=30, seed=9, departure_prob=0.0)
+        path = tmp_path / "j.log"
+        svc = AdmissionService(tr, "greedy-threshold",
+                               journal_path=str(path))
+        assert svc.handle({"op": "admit", "demand": 0, "time": 1.0})["ok"]
+        journal_before = path.read_bytes()
+        snap_before = svc.session.snapshot()
+        resp = _strict_json(svc.handle(req))
+        assert resp["ok"] is False and resp["error"]
+        svc.journal.commit()
+        assert path.read_bytes() == journal_before
+        assert svc.session.snapshot() == snap_before
+        assert svc.position == 1
+        # The same service still takes a valid request afterwards.
+        assert svc.handle({"op": "admit", "demand": 1, "time": 2.0})["ok"]
+        svc.journal.close()
+
+
+#: Request fields the state machine draws: valid values mixed with
+#: values the record spec must refuse.
+_TIMES = st.one_of(st.floats(0.0, 100.0), st.integers(0, 100),
+                   st.sampled_from(HOSTILE_TIMES + [None, [1.0]]))
+_IDS = st.one_of(st.integers(0, 11),
+                 st.sampled_from(HOSTILE_IDS + [None, 12, 2 ** 40]))
+
+
+class ServiceMachine(RuleBasedStateMachine):
+    """Valid and hostile requests interleaved with kill+resume and
+    compaction.  A rejected request changes neither the journal bytes
+    nor the session; a resumed service equals the live one."""
+
+    trace = generate_trace("line", events=12, seed=4, departure_prob=0.5,
+                           workload={"n_slots": 64})
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp(prefix="svc-sm-")
+        self.path = os.path.join(self.dir, "j.log")
+        self.svc = None
+
+    @initialize(fmt=st.sampled_from(JOURNAL_FORMATS),
+                checkpoint_every=st.sampled_from([0, 3]))
+    def start(self, fmt, checkpoint_every):
+        self.svc = AdmissionService(self.trace, "dual-gated",
+                                    journal_path=self.path, fmt=fmt,
+                                    checkpoint_every=checkpoint_every)
+
+    def teardown(self):
+        if self.svc is not None and self.svc.journal is not None:
+            self.svc.journal.close()
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+    def _state(self):
+        return (self.svc.checkpoint_state(), self.svc.session.snapshot())
+
+    def _journal(self):
+        with open(self.path, "rb") as fh:
+            return fh.read()
+
+    def _send(self, req):
+        journal_before = self._journal()
+        state_before = self._state()
+        resp = _strict_json(self.svc.handle(req))
+        if not resp["ok"]:
+            assert self._journal() == journal_before
+            assert self._state() == state_before
+        return resp
+
+    @rule(demand=_IDS, time=_TIMES)
+    def admit(self, demand, time):
+        resp = self._send({"op": "admit", "demand": demand, "time": time})
+        finite = type(time) in (int, float) and math.isfinite(time)
+        if not (finite and type(demand) is int and demand >= 0):
+            assert not resp["ok"]
+
+    @rule(demand=_IDS, time=_TIMES)
+    def release(self, demand, time):
+        self._send({"op": "release", "demand": demand, "time": time})
+
+    @rule(time=_TIMES)
+    def tick(self, time):
+        self._send({"op": "tick", "time": time})
+
+    @rule(events=st.lists(st.fixed_dictionaries({
+        "type": st.sampled_from(["arrival", "departure", "tick", "warp"]),
+        "time": _TIMES, "demand": _IDS}), min_size=1, max_size=4))
+    def feed(self, events):
+        self._send({"op": "feed", "events": events})
+
+    def _resume_and_compare(self):
+        live = self._state()
+        self.svc = AdmissionService.resume(self.path)
+        assert self._state() == live
+
+    @rule()
+    def abandon_and_resume(self):
+        self.svc.journal.abandon()
+        self._resume_and_compare()
+
+    @rule(fmt=st.sampled_from([None, *JOURNAL_FORMATS]))
+    def compact_and_resume(self, fmt):
+        self.svc.journal.close()
+        AdmissionService.compact(self.path, fmt=fmt)
+        self._resume_and_compare()
+
+    @invariant()
+    def journal_is_committed(self):
+        if self.svc is not None:
+            assert self.svc.journal.seq == self.svc.journal.commit_seq
+
+
+ServiceMachine.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=15, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+TestServiceMachine = ServiceMachine.TestCase
 
 
 class TestShardedBackend:
