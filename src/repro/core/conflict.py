@@ -11,7 +11,8 @@ edges without materialising the full quadratic graph unless asked.  Since
 the vectorization refactor it keeps two complementary representations:
 
 * per-demand buckets and per-(network, edge) activity buckets for exact
-  single-instance neighbourhood queries (the original scalar API);
+  single-instance neighbourhood queries (the original scalar API),
+  built on the first such query;
 * NumPy *geometry* arrays — interval endpoints for line instances,
   endpoint pairs plus a per-network Euler-tour index
   (:class:`~repro.network.tree.EulerTourIndex`) for tree instances, and a
@@ -27,6 +28,15 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = ["ConflictIndex", "ActiveConflictSet"]
+
+#: Largest batch :meth:`ActiveConflictSet.blocked_mask` probes one
+#: candidate at a time.  Measured on line and tree ledgers with ~11-edge
+#: routes: the loop costs ~3 us per candidate against ~40 us for the
+#: batched gather at any small size, so the two cross at 13-15
+#: candidates; 12 keeps the loop ahead with margin for longer routes.
+#: The online policies probe 1-5 candidates; the offline engine's MIS
+#: steps are larger and keep the batched path.
+_LOOP_MAX = 12
 
 
 class ConflictIndex:
@@ -54,8 +64,6 @@ class ConflictIndex:
         instances: Sequence,
         global_edges: Sequence[Sequence],
         trees: Mapping[int, object] | None = None,
-        *,
-        defer_buckets: bool = False,
     ) -> None:
         if len(instances) != len(global_edges):
             raise ValueError("one edge list per instance required")
@@ -70,17 +78,15 @@ class ConflictIndex:
                 )
         self._by_demand: dict[int, list[int]] | None = None
         self._by_edge: dict[object, list[int]] | None = None
-        if not defer_buckets:
-            self._ensure_buckets()
         self._build_arrays(global_edges, trees)
 
     def _ensure_buckets(self) -> None:
         """Materialize the scalar-API activity buckets.
 
-        Built eagerly by the constructor unless ``defer_buckets`` asked
-        otherwise; :meth:`sliced` views always defer them until a
-        bucket-backed query (:meth:`neighbors`) first needs them, since
-        the array-geometry paths never do.
+        Built on the first bucket-backed query (:meth:`neighbors`, and
+        through it :meth:`to_networkx`), never by the constructor or
+        :meth:`sliced`: the array-geometry paths — every online ledger
+        and the offline engine's probes — never read them.
         """
         if self._by_demand is not None:
             return
@@ -420,23 +426,28 @@ class ActiveConflictSet:
         arr = np.asarray(iids, dtype=np.int64)
         if len(arr) == 0:
             return np.zeros(0, dtype=bool)
-        if len(arr) == 1:
-            # Scalar fast path: single-candidate probes dominate the
-            # online replay (one instance per demand is the common
-            # population shape), and the batched gather/segment machinery
-            # below costs ~10x the work for them.  Same comparisons, same
-            # answer, bit for bit.
-            iid = int(arr[0])
-            hit = bool(self._demand_used[idx._dix[iid]])
-            if not hit:
-                row = idx._flat_edges[idx._indptr[iid]:idx._indptr[iid + 1]]
-                if len(row):
-                    top = self._load[row].max()
-                    if self.capacities:
-                        hit = bool(top + idx._heights[iid] > 1.0 + 1e-9)
-                    else:
-                        hit = bool(top > 0.0)
-            return np.asarray([hit], dtype=bool)
+        if len(arr) <= _LOOP_MAX:
+            # Small probes — the online policies' per-demand candidate
+            # rows — go one candidate at a time: the batched
+            # gather/segment machinery below has a fixed cost of ~40 us,
+            # a candidate here ~3 us.  Same comparisons, same answer,
+            # bit for bit (Python's max picks an element, and the float
+            # add is the float64 one).
+            used, load = self._demand_used, self._load
+            dix, indptr, flat = idx._dix, idx._indptr, idx._flat_edges
+            out = []
+            for iid in arr.tolist():
+                hit = bool(used[dix[iid]])
+                if not hit:
+                    row = flat[indptr[iid]:indptr[iid + 1]]
+                    if len(row):
+                        top = max(load[row].tolist())
+                        if self.capacities:
+                            hit = bool(top + idx._heights[iid] > 1.0 + 1e-9)
+                        else:
+                            hit = top > 0.0
+                out.append(hit)
+            return np.asarray(out, dtype=bool)
         blocked = self._demand_used[idx._dix[arr]].copy()
         starts = idx._indptr[arr]
         counts = idx._indptr[arr + 1] - starts

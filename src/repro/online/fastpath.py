@@ -63,6 +63,7 @@ import time
 
 import numpy as np
 
+from ..core.conflict import _LOOP_MAX
 from ..obs import tracing as _tracing
 from .events import Arrival, Departure, Tick
 
@@ -153,12 +154,13 @@ class DemandGeometry:
         )
         # Greedy's (route_length, iid) ranking as one sortable int64.
         self.cand_selkey = self.cand_route_len * np.int64(I) + cand_iids
-        # blocked_mask's single- vs multi-candidate asymmetry: the
-        # single-candidate probe skips the load test on an empty route,
-        # the batched probe applies it.  True where the load test
-        # applies (nonempty route, or demand with several candidates).
+        # blocked_mask's small- vs large-batch asymmetry: the
+        # per-candidate loop (up to _LOOP_MAX candidates) skips the load
+        # test on an empty route, the batched probe applies it.  True
+        # where the load test applies (nonempty route, or demand with
+        # more candidates than the loop takes).
         self.cand_apply = (route_counts > 0) | np.repeat(
-            counts > 1, counts
+            counts > _LOOP_MAX, counts
         )
 
         # --- per-candidate route CSR (the index's own edge rows,
@@ -402,8 +404,7 @@ class _ChunkPlan:
 
     ``has_empty`` flags chunks containing empty-route candidates; only
     those pay the masked reductions (and the ``apply`` exemption mask
-    replicating ``blocked_mask``'s single- vs multi-candidate
-    asymmetry).
+    replicating ``blocked_mask``'s small- vs large-batch asymmetry).
     """
 
     __slots__ = ("demands", "ccnt", "dix", "cstart", "gidx", "height",

@@ -126,7 +126,6 @@ class CapacityLedger:
         # on the CSR views dominated their hot path.  Route geometry,
         # heights and profits never change, so these never invalidate.
         self._route_edges_cache: dict[int, list[int]] = {}
-        self._route_pos_cache: dict[int, dict[int, int]] = {}
         self._route_len_cache: dict[int, int] = {}
         self._density_cache: dict[int, float] = {}
         self._height_cache: dict[int, float] = {}
@@ -239,14 +238,6 @@ class CapacityLedger:
             self._route_edges_cache[iid] = lst
         return lst
 
-    def _route_pos(self, iid: int) -> dict[int, int]:
-        """Cached ``{edge id -> position}`` map of ``iid``'s route."""
-        pos = self._route_pos_cache.get(iid)
-        if pos is None:
-            pos = {eid: k for k, eid in enumerate(self._route_edge_list(iid))}
-            self._route_pos_cache[iid] = pos
-        return pos
-
     def _density(self, iid: int) -> float:
         """Cached profit density (profit / route length) of an instance."""
         d = self._density_cache.get(iid)
@@ -283,50 +274,72 @@ class CapacityLedger:
         since one demand holds at most one instance and an arriving
         demand holds none).
 
+        The walk only looks at *hot* edges — route edges whose deficit
+        ``load + height - 1`` exceeds the slack.  Deficits are computed
+        once; heights are positive, so a deficit only falls as victims
+        are taken, an edge that starts cool stays cool, and a holder
+        with no hot edge is never a victim.  The candidates are
+        therefore the holders of the initially-hot edges, each with the
+        list of hot edges it holds; each victim subtracts its height
+        (a Python float subtraction, the same IEEE operation as the
+        float64 one) from the edges still hot, an edge leaves the hot
+        map once it cools, and the plan is complete when the map is
+        empty.  A holder none of whose edges is still hot relieves
+        nothing and is skipped.
+
         This is pure geometry: the *economic* test (is the newcomer's
         profit worth the victims'?) belongs to the policies.
         """
         eids = self._edge_ids(iid)
         deficit = self.active._load[eids] + self.index._heights[iid] - 1.0
-        if (deficit <= _EPS).all():
+        hot = {eid: x for eid, x in zip(eids.tolist(), deficit.tolist())
+               if x > _EPS}
+        if not hot:
             return []
-        pos_of = self._route_pos(iid)
+        # Who holds which hot edge, in one pass over the hot edges.
+        touched: dict[int, list[int]] = {}
+        for eid in hot:
+            for d in self._holders_by_edge[eid]:
+                edges = touched.get(d)
+                if edges is None:
+                    touched[d] = [eid]
+                else:
+                    edges.append(eid)
         admitted = self._admitted
-        holders = sorted(
-            self.holders_on_route(iid),
-            key=lambda d: (self._density(admitted[d]), d),
-        )
         victims: list[int] = []
-        for d in holders:
-            if (deficit <= _EPS).all():
-                break
-            v_iid = admitted[d]
-            shared = [
-                pos_of[eid]
-                for eid in self._route_edge_list(v_iid)
-                if eid in pos_of
-            ]
-            if not any(deficit[k] > _EPS for k in shared):
-                continue  # only evict holders that relieve a hot edge
-            height = self._height(v_iid)
-            for k in shared:
-                deficit[k] -= height
-            victims.append(d)
-        if (deficit <= _EPS).all():
-            return victims
+        for d in sorted(touched,
+                        key=lambda d: (self._density(admitted[d]), d)):
+            height = None
+            for eid in touched[d]:
+                x = hot.get(eid)
+                if x is None:
+                    continue  # cooled by an earlier victim
+                if height is None:
+                    height = self._height(admitted[d])
+                x -= height
+                if x > _EPS:
+                    hot[eid] = x
+                else:
+                    del hot[eid]
+            if height is not None:
+                victims.append(d)
+                if not hot:
+                    return victims
         return None
 
     def route_loads_excluding(self, iid: int, victims) -> np.ndarray:
         """``route_loads(iid)`` as they would read after evicting
         ``victims`` — the loads a post-eviction price function sees.
 
-        Kept next to :meth:`preemption_plan` so both use the same
-        shared-edge walk and height source; the result is clamped at 0
-        against float dust from the subtraction.
+        Kept next to :meth:`preemption_plan` so both take victim
+        heights from the same source: each victim's height comes off
+        every route edge it shares, in victim order (Python float
+        subtractions, bit-equal to float64 ones), and the result is
+        clamped at 0 against float dust from the subtraction.
         """
         eids = self._edge_ids(iid)
-        loads = self.active._load[eids].copy()
-        pos_of = self._route_pos(iid)
+        loads = self.active._load[eids].tolist()
+        pos_of = {eid: k for k, eid in enumerate(eids.tolist())}
         for d in victims:
             v_iid = self._admitted[d]
             height = self._height(v_iid)
@@ -334,7 +347,7 @@ class CapacityLedger:
                 k = pos_of.get(eid)
                 if k is not None:
                     loads[k] -= height
-        return np.maximum(loads, 0.0)
+        return np.maximum(np.asarray(loads, dtype=np.float64), 0.0)
 
     # ------------------------------------------------------------------
     # Mutations

@@ -46,6 +46,7 @@ import threading
 import time
 
 from ..obs import tracing as _tracing
+from .server import decode_request
 from .service import AdmissionService
 
 __all__ = ["AsyncLineServer", "serve_async"]
@@ -415,7 +416,7 @@ class AsyncLineServer:
         conn.requests += 1
         self._total_requests += 1
         try:
-            req = json.loads(line)
+            req = decode_request(line)
         except ValueError as exc:
             self._emit(conn, {"ok": False,
                               "error": f"bad request JSON: {exc}"})

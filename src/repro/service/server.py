@@ -38,10 +38,30 @@ import sys
 
 from .service import AdmissionService
 
-__all__ = ["serve_lines", "serve_stdio"]
+__all__ = ["decode_request", "serve_lines", "serve_stdio"]
 
 #: Default request-line byte cap (also the async server's default).
 MAX_LINE_BYTES = 1 << 20
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def decode_request(line) -> object:
+    """Parse one request line as strict JSON — both transports' decoder.
+
+    Python's ``json`` accepts the non-standard ``NaN``/``Infinity``/
+    ``-Infinity`` tokens; a request carrying one (say as its ``id``,
+    which the response echoes) would be answered with invalid JSON, so
+    they are refused here and the request is ``bad request JSON``.
+
+    Raises
+    ------
+    ValueError
+        If ``line`` is not strict JSON.
+    """
+    return json.loads(line, parse_constant=_refuse_constant)
 
 
 def serve_lines(service: AdmissionService, lines, emit, *,
@@ -64,7 +84,7 @@ def serve_lines(service: AdmissionService, lines, emit, *,
         if not line:
             continue
         try:
-            req = json.loads(line)
+            req = decode_request(line)
         except ValueError as exc:
             emit({"ok": False, "error": f"bad request JSON: {exc}"})
             continue

@@ -30,9 +30,10 @@ stats     live counters (events, accepted, profit, utilization, ...),
           upper bound, and the metrics registry (dict + Prometheus
           text)
 snapshot  the currently-admitted set as a solution document
-close     final flush + verify; responds with the full metrics record
+close     final flush + verify (``"verify": false`` skips it; a JSON
+          bool, nothing coerced); responds with the full metrics record
 trace     the flight-recorder ring as Chrome ``trace_event`` JSON
-          (``"last"`` caps the span count)
+          (``"last"``, an int ``>= 0``, caps the span count)
 explain   one demand's decision provenance:
           ``{"op": "explain", "demand": 3}``
 ========  ============================================================
@@ -343,14 +344,20 @@ class AdmissionService:
                 return {"ok": True, "op": op,
                         "solution": solution_to_dict(self.session.solution())}
             if op == "close":
-                result = self.close(verify=bool(req.get("verify", True)))
+                verify = req.get("verify", True)
+                if type(verify) is not bool:
+                    raise ValueError(
+                        f'"verify" must be true or false, got {verify!r}')
+                result = self.close(verify=verify)
                 return {"ok": True, "op": op,
                         "metrics": result.metrics.to_dict(),
                         "policy_stats": result.policy_stats}
             if op == "trace":
                 last = req.get("last")
-                events = _tracing.RECORDER.events(
-                    None if last is None else int(last))
+                if last is not None and (type(last) is not int or last < 0):
+                    raise ValueError(
+                        f'"last" must be an int >= 0, got {last!r}')
+                events = _tracing.RECORDER.events(last)
                 return {"ok": True, "op": op, "spans": len(events),
                         "trace": _tracing.chrome_trace(events)}
             if op == "explain":

@@ -84,10 +84,7 @@ class SharedGeometry:
         trees = None
         if isinstance(problem, TreeProblem):
             trees = {q: net for q, net in enumerate(problem.networks)}
-        # Bucket maps only back the scalar ``neighbors`` query; defer
-        # them — the replay paths run entirely on the array geometry.
-        self.index = ConflictIndex(insts, edges_of, trees=trees,
-                                   defer_buckets=True)
+        self.index = ConflictIndex(insts, edges_of, trees=trees)
         #: The exact global capacity view, sharing the full index.
         self.coordinator = CapacityLedger(problem, index=self.index)
         # Instances are sorted by demand id: record each demand's block

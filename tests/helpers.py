@@ -276,3 +276,109 @@ class ScalarTwoPhaseEngine:
                         used_demands.add(inst.demand_id)
                         used_edges |= edges
         return [self.inp.instances[iid] for iid in chosen]
+
+
+# ----------------------------------------------------------------------
+# Scalar preemption geometry (pre-hot-edge-walk online/state.py and the
+# pre-small-batch core/conflict.py probe)
+# ----------------------------------------------------------------------
+
+#: The ledger's load-comparison slack (online/state.py ``_EPS``).
+_PLAN_EPS = 1e-9
+
+
+def reference_preemption_plan(ledger, iid: int) -> list[int] | None:
+    """``CapacityLedger.preemption_plan`` before the hot-edge walk: a
+    numpy deficit vector, every route holder in density order, an
+    ``.all()`` test before each.  Only attribute access changed (the
+    removed ``_route_pos`` cache is built inline)."""
+    eids = ledger._edge_ids(iid)
+    deficit = ledger.active._load[eids] + ledger.index._heights[iid] - 1.0
+    if (deficit <= _PLAN_EPS).all():
+        return []
+    pos_of = {eid: k for k, eid in enumerate(ledger._route_edge_list(iid))}
+    admitted = ledger._admitted
+    holders = sorted(
+        ledger.holders_on_route(iid),
+        key=lambda d: (ledger._density(admitted[d]), d),
+    )
+    victims: list[int] = []
+    for d in holders:
+        if (deficit <= _PLAN_EPS).all():
+            break
+        v_iid = admitted[d]
+        shared = [
+            pos_of[eid]
+            for eid in ledger._route_edge_list(v_iid)
+            if eid in pos_of
+        ]
+        if not any(deficit[k] > _PLAN_EPS for k in shared):
+            continue  # only evict holders that relieve a hot edge
+        height = ledger._height(v_iid)
+        for k in shared:
+            deficit[k] -= height
+        victims.append(d)
+    if (deficit <= _PLAN_EPS).all():
+        return victims
+    return None
+
+
+def reference_route_loads_excluding(ledger, iid: int, victims) -> np.ndarray:
+    """``CapacityLedger.route_loads_excluding`` before the rewrite
+    (float64 array subtraction; same ``_route_pos`` inlining)."""
+    eids = ledger._edge_ids(iid)
+    loads = ledger.active._load[eids].copy()
+    pos_of = {eid: k for k, eid in enumerate(ledger._route_edge_list(iid))}
+    for d in victims:
+        v_iid = ledger._admitted[d]
+        height = ledger._height(v_iid)
+        for eid in ledger._route_edge_list(v_iid):
+            k = pos_of.get(eid)
+            if k is not None:
+                loads[k] -= height
+    return np.maximum(loads, 0.0)
+
+
+def reference_blocked_mask(active, iids) -> np.ndarray:
+    """``ActiveConflictSet.blocked_mask`` before the small-batch loop:
+    the scalar branch for one candidate, the batched gather/segment-max
+    for every larger batch."""
+    idx = active._index
+    arr = np.asarray(iids, dtype=np.int64)
+    if len(arr) == 0:
+        return np.zeros(0, dtype=bool)
+    if len(arr) == 1:
+        iid = int(arr[0])
+        hit = bool(active._demand_used[idx._dix[iid]])
+        if not hit:
+            row = idx._flat_edges[idx._indptr[iid]:idx._indptr[iid + 1]]
+            if len(row):
+                top = active._load[row].max()
+                if active.capacities:
+                    hit = bool(top + idx._heights[iid] > 1.0 + 1e-9)
+                else:
+                    hit = bool(top > 0.0)
+        return np.asarray([hit], dtype=bool)
+    blocked = active._demand_used[idx._dix[arr]].copy()
+    starts = idx._indptr[arr]
+    counts = idx._indptr[arr + 1] - starts
+    total = int(counts.sum())
+    if total:
+        offsets = np.repeat(
+            starts - np.concatenate(([0], np.cumsum(counts)[:-1])),
+            counts,
+        )
+        flat_pos = np.arange(total) + offsets
+        loads = active._load[idx._flat_edges[flat_pos]]
+        seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        nonempty = counts > 0
+        seg_max = np.zeros(len(arr), dtype=np.float64)
+        if nonempty.any():
+            seg_max[nonempty] = np.maximum.reduceat(
+                loads, seg_starts[nonempty]
+            )
+        if active.capacities:
+            blocked |= seg_max + idx._heights[arr] > 1.0 + 1e-9
+        else:
+            blocked |= seg_max > 0.0
+    return blocked

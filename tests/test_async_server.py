@@ -166,6 +166,31 @@ class TestRequestIds:
         sock.close()
         thread.join(10)
 
+    def test_nan_and_infinity_tokens_refused(self, trace):
+        # Python's json would accept these tokens and the id echo would
+        # then put a bare NaN on the wire; the strict decoder refuses
+        # them, so every response line is standard JSON.
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        service = AdmissionService(trace, "greedy-threshold")
+        server, thread, box = _start(service)
+        sock, f = _connect(box["addr"])
+        for line in ['{"op": "stats", "id": NaN}',
+                     '{"op": "stats", "id": -Infinity}',
+                     '{"op": "admit", "demand": 0, "time": Infinity}']:
+            f.write(line + "\n")
+            f.flush()
+            resp = json.loads(f.readline(), parse_constant=refuse)
+            assert resp["ok"] is False and "id" not in resp
+            assert "bad request JSON" in resp["error"]
+        ok = _request(f, {"op": "stats", "id": "after"})
+        assert ok["ok"] and ok["id"] == "after"
+        assert ok["stats"]["events"] == 0
+        _request(f, {"op": "close", "verify": False})
+        sock.close()
+        thread.join(10)
+
     def test_direct_handle_echoes_id(self, trace):
         service = AdmissionService(trace, "greedy-threshold")
         resp = service.handle({"op": "query", "demand": 0, "id": None})

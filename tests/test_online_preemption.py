@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    reference_blocked_mask,
+    reference_preemption_plan,
+    reference_route_loads_excluding,
+)
+from make_preempt_expected import GRID, OUT, fingerprint, run_point
+from repro.core.conflict import _LOOP_MAX
 from repro.online import (
     CapacityLedger,
     bursty_trace,
@@ -343,3 +355,117 @@ class TestPreemptDualGated:
         assert a.eviction_log == b.eviction_log
         assert a.metrics.penalty_adjusted_profit == \
             b.metrics.penalty_adjusted_profit
+
+
+class TestPinnedOutcomes:
+    """Every preemptive decision on the pinned grid (policy × factor ×
+    penalty × line/tree trace, unit and mixed heights) matches
+    ``tests/data/preempt_expected.json``: same admission and eviction
+    logs (SHA-256), same realized and penalty-adjusted profit bits.
+    Regenerate with ``tests/make_preempt_expected.py`` only after an
+    intentional behaviour change."""
+
+    expected = json.loads(pathlib.Path(OUT).read_text())
+
+    def test_grid_is_pinned(self):
+        assert sorted(self.expected) == sorted(key for key, *_ in GRID)
+
+    @pytest.mark.parametrize("key,trace,policy,params", GRID,
+                             ids=[g[0] for g in GRID])
+    def test_outcome_matches_pin(self, key, trace, policy, params):
+        assert fingerprint(run_point(trace, policy, params)) \
+            == self.expected[key]
+
+
+@st.composite
+def _ledger_runs(draw):
+    """A small congested problem plus a random admit / release / evict /
+    preempt sequence over it."""
+    seed = draw(st.integers(0, 2 ** 16))
+    regime = draw(st.sampled_from(["mixed", "bimodal", "unit"]))
+    m = draw(st.integers(3, 18))
+    if draw(st.booleans()):
+        problem = random_line_problem(
+            n_slots=draw(st.integers(6, 20)), m=m, r=draw(st.integers(1, 2)),
+            seed=seed, height_regime=regime, max_len=6)
+    else:
+        problem = random_tree_problem(
+            n=draw(st.integers(5, 16)), m=m, r=draw(st.integers(1, 3)),
+            seed=seed, height_regime=regime)
+    # A first-fit prefix loads the routes, so plans need victims.
+    order = draw(st.permutations(range(m)))
+    fill = order[:draw(st.integers(0, m))]
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(["admit", "release", "evict", "preempt"]),
+                  st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+        max_size=30))
+    return problem, fill, ops
+
+
+def _check_against_reference(ledger, unit):
+    """The rewritten geometry equals the frozen reference on every
+    instance of the population, bit for bit."""
+    iids = list(range(len(ledger.instances)))
+    for iid in iids:
+        plan = ledger.preemption_plan(iid)
+        assert plan == reference_preemption_plan(ledger, iid)
+        for victims in (plan or [], sorted(ledger.holders_on_route(iid))):
+            got = ledger.route_loads_excluding(iid, victims)
+            ref = reference_route_loads_excluding(ledger, iid, victims)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    # Batches of every size up to twice the loop crossover, so both the
+    # per-candidate loop and the batched gather are exercised.
+    for active in (ledger.active, unit):
+        for n in range(1, 2 * _LOOP_MAX + 1):
+            batch = np.asarray([iids[(n * 7 + j) % len(iids)]
+                                for j in range(n)], dtype=np.int64)
+            mask = active.blocked_mask(batch)
+            assert mask.dtype == bool and mask.shape == (n,)
+            assert mask.tolist() == [active.blocked(int(i)) for i in batch]
+            assert mask.tolist() == reference_blocked_mask(active,
+                                                           batch).tolist()
+
+
+class TestPreemptionGeometryReference:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_ledger_runs())
+    def test_matches_reference(self, run):
+        problem, fill, ops = run
+        ledger = CapacityLedger(problem)
+        # A unit-semantics view (the offline engine's probe) over the
+        # same index, holding the same instances.
+        unit = ledger.index.active_set()
+        m = problem.num_demands
+        for d in fill:
+            iid = ledger.try_admit(d)
+            if iid is not None:
+                unit.add(iid)
+        _check_against_reference(ledger, unit)
+        for op, a, b in ops:
+            admitted = [d for d, _ in ledger.admitted_items()]
+            if op in ("admit", "preempt"):
+                d = a % m
+                if ledger.was_admitted(d):
+                    continue
+                cands = ledger.candidates(d)
+                iid = int(cands[b % len(cands)])
+                if op == "admit":
+                    if not ledger.feasible([iid])[0]:
+                        continue
+                else:
+                    victims = ledger.preemption_plan(iid)
+                    if not victims:
+                        continue
+                    for v in victims:
+                        unit.remove(ledger.evict(v, penalty=0.1))
+                ledger.admit(iid)
+                unit.add(iid)
+            elif admitted:
+                d = admitted[a % len(admitted)]
+                if op == "release":
+                    unit.remove(ledger.release(d))
+                else:
+                    unit.remove(ledger.evict(d, penalty=0.1))
+            _check_against_reference(ledger, unit)
+        ledger.verify()

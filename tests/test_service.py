@@ -37,6 +37,7 @@ from repro.online import (
 )
 from repro.online.metrics import deterministic_metrics
 from repro.service import AdmissionService, serve_lines
+from repro.service.server import decode_request
 
 #: Per-policy constructor params for the restart property (small flush
 #: cadence so batch-resolve actually batches inside the short trace).
@@ -314,6 +315,12 @@ def _hostile_requests():
         ]:
             cases.append((f"{op}-id-{d!r}", req))
     cases.append(("trace-last-inf", {"op": "trace", "last": math.inf}))
+    # Non-event fields are not coerced either: ``verify`` is a JSON
+    # bool, ``last`` a non-bool int >= 0.
+    for v in ["no", 0, 1, None]:
+        cases.append((f"close-verify-{v!r}", {"op": "close", "verify": v}))
+    for last in [2.7, "5", True, -1]:
+        cases.append((f"trace-last-{last!r}", {"op": "trace", "last": last}))
     return cases
 
 
@@ -344,6 +351,47 @@ class TestHostileInput:
         # The same service still takes a valid request afterwards.
         assert svc.handle({"op": "admit", "demand": 1, "time": 2.0})["ok"]
         svc.journal.close()
+
+
+class TestWireConstants:
+    """The line decoder is strict JSON: ``NaN``/``Infinity`` tokens make
+    a request ``bad request JSON``, so no response ever echoes one."""
+
+    LINES = ['{"op": "stats", "id": NaN}',
+             '{"op": "stats", "id": Infinity}',
+             '{"op": "stats", "id": -Infinity}',
+             '{"op": "admit", "demand": 1, "time": NaN}',
+             '{"op": "feed", "events": [{"type": "tick", "time": Infinity}]}']
+
+    def test_serve_lines_refuses_constants(self, tmp_path):
+        tr = poisson_trace("line", events=30, seed=9, departure_prob=0.0)
+        path = tmp_path / "j.log"
+        svc = AdmissionService(tr, "greedy-threshold",
+                               journal_path=str(path))
+        assert svc.handle({"op": "admit", "demand": 0, "time": 1.0})["ok"]
+        svc.journal.commit()
+        journal_before = path.read_bytes()
+        out: list[dict] = []
+        serve_lines(svc, [line + "\n" for line in self.LINES]
+                    + ['{"op": "stats", "id": 1.5}\n'], out.append)
+        assert len(out) == len(self.LINES) + 1
+        for resp in out[:-1]:
+            resp = _strict_json(resp)
+            assert resp["ok"] is False
+            assert "bad request JSON" in resp["error"]
+            assert "id" not in resp
+        assert out[-1]["ok"] and out[-1]["id"] == 1.5
+        svc.journal.commit()
+        assert path.read_bytes() == journal_before
+        assert svc.position == 1
+        svc.journal.close()
+
+    def test_decode_request(self):
+        for line in self.LINES:
+            with pytest.raises(ValueError, match="not valid JSON"):
+                decode_request(line)
+        assert decode_request('{"op": "stats", "id": 1e308}') == {
+            "op": "stats", "id": 1e308}
 
 
 #: Request fields the state machine draws: valid values mixed with
