@@ -1,7 +1,7 @@
 """Vectorization discipline for the columnar batch-decision fast path.
 
 The batch kernels in :mod:`repro.online.fastpath` exist to amortize
-per-event interpreter overhead across a whole conflict-free run: one
+per-event interpreter overhead across a whole window of events: one
 load gather, a handful of segment reductions, one ``admit_many``.  A
 per-event scalar call smuggled into a kernel — ``ledger.admit`` in a
 loop, ``policy.on_arrival`` per demand, ``session.feed`` per event —

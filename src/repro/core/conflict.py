@@ -30,13 +30,18 @@ import numpy as np
 __all__ = ["ConflictIndex", "ActiveConflictSet"]
 
 #: Largest batch :meth:`ActiveConflictSet.blocked_mask` probes one
-#: candidate at a time.  Measured on line and tree ledgers with ~11-edge
-#: routes: the loop costs ~3 us per candidate against ~40 us for the
-#: batched gather at any small size, so the two cross at 13-15
-#: candidates; 12 keeps the loop ahead with margin for longer routes.
-#: The online policies probe 1-5 candidates; the offline engine's MIS
-#: steps are larger and keep the batched path.
-_LOOP_MAX = 12
+#: candidate at a time.  Per-call times, loop against batched gather,
+#: on half-filled ledgers: ~11-edge line routes 15 vs 37 us at 8
+#: candidates, 31 vs 33 at 10, batched ahead from 14; ~35-edge tree
+#: routes 28 vs 38 us at 8, 37 vs 39 at 10, batched ahead from 12.  8
+#: keeps the loop clearly ahead on both.  Who lands where: the online
+#: policies probe one demand's candidates (1-5 on the 20k-event line
+#: trace of the ``replay-line-preempt`` benchmark, all in the loop);
+#: the offline engine's phase-2 groups on ``solve-tree`` are 1-63
+#: (18 of 355 calls above 8, ~1 ms of a multi-second solve either
+#: way); ``repro bench`` probes a whole population in one call, which
+#: only the batched gather serves.
+_LOOP_MAX = 8
 
 
 class ConflictIndex:
@@ -429,10 +434,10 @@ class ActiveConflictSet:
         if len(arr) <= _LOOP_MAX:
             # Small probes — the online policies' per-demand candidate
             # rows — go one candidate at a time: the batched
-            # gather/segment machinery below has a fixed cost of ~40 us,
-            # a candidate here ~3 us.  Same comparisons, same answer,
-            # bit for bit (Python's max picks an element, and the float
-            # add is the float64 one).
+            # gather/segment machinery below has a fixed cost of ~20-40
+            # us, a candidate here ~2-4 us (see _LOOP_MAX).  Same
+            # comparisons, same answer, bit for bit (Python's max picks
+            # an element, and the float add is the float64 one).
             used, load = self._demand_used, self._load
             dix, indptr, flat = idx._dix, idx._indptr, idx._flat_edges
             out = []

@@ -17,9 +17,9 @@ Layering (bottom-up):
   ``preempt-dual-gated`` (eviction with profit forfeiture and optional
   penalties);
 * :mod:`~repro.online.fastpath` — the columnar batch-decision fast
-  path: conflict-free run segmentation plus vectorized kernels for
-  ``greedy-threshold`` and ``dual-gated``, byte-identical to the scalar
-  loop;
+  path: vectorized kernels for ``greedy-threshold`` and ``dual-gated``
+  that decide a window of events at once and commit the prefix whose
+  decisions stand, byte-identical to the scalar loop;
 * :mod:`~repro.online.driver` / :mod:`~repro.online.metrics` — the
   replay loop, acceptance/profit/latency metrics, offline benchmarks.
 """
@@ -39,7 +39,7 @@ from .events import (
 from .fastpath import (
     DemandGeometry,
     TraceArrays,
-    conflict_free_runs,
+    conflict_free_prefix,
     geometry_of,
 )
 from .metrics import (
@@ -82,7 +82,7 @@ __all__ = [
     "Tick",
     "TraceArrays",
     "bursty_trace",
-    "conflict_free_runs",
+    "conflict_free_prefix",
     "deterministic_metrics",
     "diurnal_trace",
     "generate_trace",

@@ -1,11 +1,11 @@
 """Columnar batch-decision fast path: vectorized admission over
-conflict-free runs.
+speculative event windows.
 
 The scalar event loop (``session.feed`` → ``policy.on_arrival`` →
-``ledger.admit``) costs ~15–20µs of interpreter work per event.  This
-module removes that bottleneck for the two stateless-per-event policies
-(``greedy-threshold`` and ``dual-gated``) without changing a single
-decision bit:
+``ledger.admit``) costs a few microseconds of interpreter work per
+event.  This module amortizes it for the two stateless-per-event
+policies (``greedy-threshold`` and ``dual-gated``) without changing a
+single decision bit:
 
 * :class:`DemandGeometry` — per-demand candidate/route/footprint CSR
   arrays resolved **once** per ledger against the shared
@@ -14,15 +14,27 @@ decision bit:
   pass — reuses one build);
 * :class:`TraceArrays` — a columnar view of one event batch (kinds,
   demand ids, per-event conflict footprints);
-* :func:`conflict_free_runs` — splits consecutive events into *maximal*
-  runs whose footprints are pairwise disjoint, so every decision inside
-  a run reads exactly the loads it would have read under one-at-a-time
-  processing;
-* batch kernels :func:`batch_greedy_threshold` and
-  :func:`batch_dual_gated` — gather/segment-reduce replicas of the
-  scalar decision paths, bit-for-bit (see the float notes below);
+* batch kernels (:data:`BATCH_KERNELS`) — gather/segment-reduce
+  replicas of the scalar decision paths, bit-for-bit (see the float
+  notes below), split into a pure *decide* over a window of arrivals
+  and a *commit* of a prefix of those decisions;
+* :func:`conflict_free_prefix` — how far a window's speculative
+  decisions stand: up to the first event whose footprint overlaps an
+  earlier *state-changing* event (an admission or a live departure) of
+  the window;
 * :class:`FastFeeder` — the executor ``AdmissionSession.feed_many``
   engages when the policy advertises a batch kernel.
+
+Speculation: the executor decides every arrival of a window against the
+window-entry loads in one kernel call, marks the events that would
+change ledger state, and commits the longest prefix none of whose
+events overlaps an earlier state change.  Every decision in that prefix
+read exactly the loads it would have read one event at a time; the
+first overlapping event and everything after it are decided again in
+the next window.  Rejections and departures of demands that are not
+admitted change nothing, so on a congested stream a window commits far
+more events than a conflict-free run (every event a potential writer)
+would hold.
 
 Bit-exactness ground rules (each empirically verified against this
 container's NumPy):
@@ -38,23 +50,21 @@ container's NumPy):
 * ``max``/``min`` reductions are order-independent, so
   ``maximum.reduceat`` feasibility probes and first-min selection keys
   are exact;
-* within a run, routes are edge-disjoint, so batched scatter-adds touch
-  every load position exactly once — the same single float add the
-  scalar loop performs.
+* within a committed prefix, the state-changing routes are
+  edge-disjoint, so batched scatter-adds touch every load position
+  exactly once — the same single float add the scalar loop performs.
 
-The executor amortizes per-run overhead by *pre-gathering* per chunk:
-candidate rows, route edges, heights and selection keys for every
-batchable arrival in a chunk are flattened once (:func:`_prepare`),
-so each run reduces to a load gather plus a handful of segment
-reductions over contiguous slices.
+The executor amortizes per-window overhead by *pre-gathering* per
+chunk: candidate rows, route edges, heights and selection keys for
+every batchable arrival in a chunk are flattened once
+(:func:`_prepare`), so each window reduces to a load gather plus a
+handful of segment reductions over contiguous slices.
 
 A *footprint* is the union of every candidate route of a demand plus a
 per-demand sentinel pseudo-edge: two events of the same demand always
 conflict (the arrival/departure bookkeeping is order-dependent), and
 any two demands whose admitted-or-considered routes could share an edge
-conflict.  Splitting finer than first-footprint-overlap is always
-sound; :func:`conflict_free_runs` is exactly maximal, and the property
-tests pin that.
+conflict.
 """
 
 from __future__ import annotations
@@ -63,7 +73,6 @@ import time
 
 import numpy as np
 
-from ..core.conflict import _LOOP_MAX
 from ..obs import tracing as _tracing
 from .events import Arrival, Departure, Tick
 
@@ -72,19 +81,29 @@ __all__ = [
     "TraceArrays",
     "FastFeeder",
     "BATCH_KERNELS",
-    "conflict_free_runs",
+    "conflict_free_prefix",
     "geometry_of",
 ]
 
-#: Events columnarized (and segmented) per pass; a chunk boundary is a
-#: forced run boundary — a finer split, which is always sound.
+#: Events columnarized per pass; a chunk boundary is a forced window
+#: boundary — a finer split, which is always sound.
 CHUNK = 32768
 
-#: Runs shorter than this are executed through the scalar dispatcher:
-#: the vectorized kernels pay ~a dozen NumPy-call overheads per run,
-#: which only amortize over enough events.  Either execution is
-#: bit-identical, so this is purely a throughput knob.
+#: Stretches of batchable events shorter than this are executed through
+#: the scalar dispatcher: a kernel window pays a few dozen NumPy-call
+#: overheads, which only amortize over enough events.  Either execution
+#: is bit-identical, so this is purely a throughput constant.
 MIN_VECTOR_RUN = 2
+
+#: Sizing of the speculation window: the first spans ``WINDOW_MIN``
+#: events, each later one the prefix the previous window committed plus
+#: ``WINDOW_MIN``, at most ``WINDOW_MAX``.  Events past the committed
+#: prefix are decided again, so a window much longer than the prefixes
+#: the stream allows only wastes gathers; on the 2k-event line trace of
+#: ``benchmarks/bench_online.py`` this sizing beat twice the last
+#: prefix, 1.5 times it and fixed windows of 32 or 64 events.
+WINDOW_MIN = 16
+WINDOW_MAX = 512
 
 _INT_MAX = np.iinfo(np.int64).max
 
@@ -151,16 +170,6 @@ class DemandGeometry:
         # max(route, 1) and profit / route_length (one float64 divide).
         self.cand_density = self.cand_profit / self.cand_route_len.astype(
             np.float64
-        )
-        # Greedy's (route_length, iid) ranking as one sortable int64.
-        self.cand_selkey = self.cand_route_len * np.int64(I) + cand_iids
-        # blocked_mask's small- vs large-batch asymmetry: the
-        # per-candidate loop (up to _LOOP_MAX candidates) skips the load
-        # test on an empty route, the batched probe applies it.  True
-        # where the load test applies (nonempty route, or demand with
-        # more candidates than the loop takes).
-        self.cand_apply = (route_counts > 0) | np.repeat(
-            counts > _LOOP_MAX, counts
         )
 
         # --- per-candidate route CSR (the index's own edge rows,
@@ -259,7 +268,7 @@ class TraceArrays:
     """
 
     __slots__ = ("events", "kinds", "demand", "batchable",
-                 "fp_indptr", "fp_edges")
+                 "fp_indptr", "fp_edges", "fp_owner")
 
     def __init__(self, events, kinds, demand, batchable,
                  fp_indptr, fp_edges) -> None:
@@ -269,6 +278,9 @@ class TraceArrays:
         self.batchable = batchable
         self.fp_indptr = fp_indptr
         self.fp_edges = fp_edges
+        #: The event index of every footprint entry.
+        self.fp_owner = np.arange(len(events), dtype=np.int64).repeat(
+            fp_indptr[1:] - fp_indptr[:-1])
 
     def __len__(self) -> int:
         return len(self.events)
@@ -325,61 +337,50 @@ class TraceArrays:
         return cls(events, kinds, demand, batchable, fp_indptr, fp_edges)
 
 
-def conflict_free_runs(ta: TraceArrays, lo: int = 0,
-                       hi: int | None = None) -> list[tuple[int, int]]:
-    """Maximal conflict-free runs of ``ta.events[lo:hi]``.
+def conflict_free_prefix(ta: TraceArrays, lo: int, hi: int,
+                         changing: np.ndarray | None = None,
+                         stamp: np.ndarray | None = None) -> int:
+    """End of the longest prefix of ``ta.events[lo:hi]`` free of
+    order-dependent conflicts.
 
-    Returns half-open ``(start, stop)`` index pairs covering
-    ``[lo, hi)`` in order.  Within a run every pair of events has
-    disjoint footprints; each run boundary sits exactly at the first
-    event whose footprint overlaps the current run (*exact maximality*
-    — any finer split is sound, any coarser would reorder conflicting
-    decisions).
+    Returns the least ``p`` in ``(lo, hi]`` such that event ``p`` (when
+    ``p < hi``) has a footprint overlapping some earlier *changing*
+    event of ``[lo, p)`` — the first event whose decision may depend on
+    an earlier one of the stretch.  ``changing`` is one bool per event
+    of ``[lo, hi)``: the events that change ledger state (admissions,
+    releases of admitted demands).  ``None`` treats every event as
+    changing, which makes ``[lo, p)`` the maximal conflict-free run
+    starting at ``lo``.
 
-    One argsort over the stretch's footprint entries: sorting by
-    ``(edge, event)`` makes each entry's nearest earlier same-edge
-    holder its sort-predecessor; the per-event max of those predecessors
-    is the latest earlier conflicting event, and a boundary is needed
-    exactly when it falls inside the current run.
+    ``stamp`` is scratch indexed by footprint entry id (at least
+    ``max(ta.fp_edges) + 1`` long, every slot ``int64`` max); it is
+    restored before returning, so a caller may keep one across calls.
+    The first changing owner of every footprint entry is scattered in
+    with ``np.minimum.at``; an event then conflicts iff one of its
+    entries carries a smaller owner.
     """
-    if hi is None:
-        hi = len(ta)
-    n = hi - lo
-    if n <= 0:
-        return []
-    if n == 1:
-        return [(lo, hi)]
+    if hi - lo <= 1:
+        return hi
     f0 = int(ta.fp_indptr[lo])
     f1 = int(ta.fp_indptr[hi])
+    if f0 == f1:
+        return hi
     edges = ta.fp_edges[f0:f1]
-    if len(edges) == 0:
-        return [(lo, hi)]
-    indptr = ta.fp_indptr[lo:hi + 1] - f0
-    counts = indptr[1:] - indptr[:-1]
-    owner = np.repeat(np.arange(n, dtype=np.int64), counts)
-    order = np.argsort(edges * np.int64(n) + owner)
-    s_edges = edges[order]
-    s_owner = owner[order]
-    prev_vals = np.full(len(edges), -1, dtype=np.int64)
-    same = s_edges[1:] == s_edges[:-1]
-    prev_vals[1:][same] = s_owner[:-1][same]
-    prev_flat = np.empty(len(edges), dtype=np.int64)
-    prev_flat[order] = prev_vals
-    max_prev = np.full(n, -1, dtype=np.int64)
-    nonempty = counts > 0
-    if nonempty.any():
-        max_prev[nonempty] = np.maximum.reduceat(
-            prev_flat, indptr[:-1][nonempty]
-        )
-    runs: list[tuple[int, int]] = []
-    run_start = 0
-    mp = max_prev.tolist()
-    for i in range(1, n):
-        if mp[i] >= run_start:
-            runs.append((lo + run_start, lo + i))
-            run_start = i
-    runs.append((lo + run_start, hi))
-    return runs
+    owner = ta.fp_owner[f0:f1]
+    if changing is None:
+        ce, co = edges, owner
+    else:
+        mask = changing[owner - lo]
+        ce, co = edges[mask], owner[mask]
+    if stamp is None:
+        stamp = np.full(int(edges.max()) + 1, _INT_MAX, dtype=np.int64)
+    np.minimum.at(stamp, ce, co)
+    hit = stamp[edges] < owner
+    stamp[ce] = _INT_MAX
+    # Entries are laid out in event order, so the first hit belongs to
+    # the earliest conflicting event.
+    k = int(hit.argmax())
+    return int(owner[k]) if hit[k] else hi
 
 
 # ----------------------------------------------------------------------
@@ -390,26 +391,25 @@ def conflict_free_runs(ta: TraceArrays, lo: int = 0,
 class _ChunkPlan:
     """Pre-gathered candidate/route columns for one batch of arrivals.
 
-    Built once per chunk by :func:`_prepare`; every per-run kernel call
-    then works on contiguous slices of these arrays, so the run-time
-    work is one load gather plus a handful of segment reductions.  All
-    arrays are flat in *chunk arrival order*:
+    Built once per chunk by :func:`_prepare`; every kernel call then
+    works on contiguous slices of these arrays, so the per-window work
+    is one load gather plus a handful of segment reductions.  All arrays
+    are flat in *chunk arrival order*:
 
-    * ``demands``/``ccnt``/``dix`` — per arrival;
+    * ``demands``/``dix`` — per arrival;
     * ``cstart`` — arrival → candidate-range prefix (length n+1);
-    * ``gidx``/``height``/``pos`` (+ per-kernel ``gkey`` or
-      ``profit``/``iid``) — per candidate;
+    * ``height``/``pos``/``iid`` (+ per-kernel ``gkey`` or
+      ``aidx``/``profit``) — per candidate;
     * ``estart`` — candidate → route-edge-range prefix (length C+1);
     * ``edges`` — flat route edge ids per candidate.
 
     ``has_empty`` flags chunks containing empty-route candidates; only
-    those pay the masked reductions (and the ``apply`` exemption mask
-    replicating ``blocked_mask``'s small- vs large-batch asymmetry).
+    those pay the masked reductions.
     """
 
-    __slots__ = ("demands", "ccnt", "dix", "cstart", "gidx", "height",
-                 "pos", "aidx", "estart", "edges", "earange",
-                 "has_empty", "apply", "gkey", "profit", "iid")
+    __slots__ = ("demands", "dix", "cstart", "height", "pos", "aidx",
+                 "estart", "edges", "earange", "has_empty", "gkey",
+                 "profit", "iid")
 
 
 def _prepare(feeder: "FastFeeder", demands: np.ndarray) -> _ChunkPlan:
@@ -423,9 +423,7 @@ def _prepare(feeder: "FastFeeder", demands: np.ndarray) -> _ChunkPlan:
     np.cumsum(ccnt, out=cstart[1:])
     C = int(cstart[-1])
     gidx = np.arange(C, dtype=np.int64) + np.repeat(ci0 - cstart[:-1], ccnt)
-    p.ccnt = ccnt
     p.cstart = cstart
-    p.gidx = gidx
     p.dix = geom.cand_dix[gidx[cstart[:-1]]]
     r0 = geom.rr_indptr[gidx]
     r_cnt = geom.rr_indptr[gidx + 1] - r0
@@ -444,117 +442,163 @@ def _prepare(feeder: "FastFeeder", demands: np.ndarray) -> _ChunkPlan:
     p.pos = np.arange(C, dtype=np.int64)
     p.earange = np.arange(total, dtype=np.int64)
     p.has_empty = bool((r_cnt == 0).any())
-    p.apply = geom.cand_apply[gidx] if p.has_empty else None
-    if feeder.gkey is not None:
-        p.gkey = feeder.gkey[gidx]
-        p.aidx = p.profit = p.iid = None
+    p.iid = geom.cand_iids[gidx]
+    if feeder.below is not None:
+        # Greedy's (route_length, iid) ranking as one sortable int64,
+        # tie-broken by plan position: an arrival's candidates sit in
+        # ascending instance-id order, so the ranking is the same and
+        # the winning key names the winner's position.  Candidates
+        # under the density floor carry ``_INT_MAX``.
+        p.gkey = np.where(feeder.below[gidx], _INT_MAX,
+                          geom.cand_route_len[gidx] * np.int64(C + 1)
+                          + p.pos)
+        p.aidx = p.profit = None
     else:
         p.gkey = None
         # Per-candidate arrival index: lets the kernels expand a
         # per-arrival column to candidates with one gather instead of a
-        # per-run ``np.repeat``.
-        p.aidx = np.repeat(
-            np.arange(len(demands), dtype=np.int64), ccnt
-        )
+        # per-window ``np.repeat``.
+        p.aidx = np.arange(len(demands), dtype=np.int64).repeat(ccnt)
         p.profit = geom.cand_profit[gidx]
-        p.iid = geom.cand_iids[gidx]
     return p
 
 
-def _kernel_greedy(feeder: "FastFeeder", plan: _ChunkPlan,
-                   i0: int, i1: int) -> np.ndarray:
-    """Vectorized ``GreedyThreshold.on_arrival`` over one run's arrivals.
+class _Decision:
+    """One window's speculative decisions, arrival indices relative to
+    the window's first arrival.
 
-    Arrivals ``[i0, i1)`` of the plan (all distinct demands, pairwise
-    footprint-disjoint).  Returns the admitted instance ids in event
-    order; the ledger is mutated exactly as the scalar ``try_admit``
-    sequence would have mutated it.  The density floor is pre-folded
-    into ``plan.gkey`` (below-threshold candidates carry ``_INT_MAX``),
-    and the already-admitted early return is applied per arrival — the
+    ``admit`` (ascending) are the arrivals that would admit, with the
+    plan position of the admitted candidate (``first``) and the demand
+    id (``dems``) in the same order.  The dual kernel adds the
+    per-arrival ``has_any``/``best_price`` columns and the ascending
+    ``gated`` arrivals, from which a commit derives the policy stats of
+    any prefix.
+    """
+
+    __slots__ = ("admit", "first", "dems", "has_any", "best_price",
+                 "gated")
+
+    def __init__(self, admit, first=None, dems=None, has_any=None,
+                 best_price=None, gated=None) -> None:
+        self.admit = admit
+        self.first = first
+        self.dems = dems
+        self.has_any = has_any
+        self.best_price = best_price
+        self.gated = gated
+
+
+def _admit_positions(feeder: "FastFeeder", plan: _ChunkPlan,
+                     pos: np.ndarray, dems: list):
+    """Admit the candidates at plan positions ``pos`` (pairwise
+    route-disjoint) in order, handing ``admit_many`` the route edges and
+    heights gathered here; returns the edges (``None`` when every route
+    is empty)."""
+    estart = plan.estart
+    r0 = estart[pos]
+    r_cnt = estart[pos + 1] - r0
+    total = int(r_cnt.sum())
+    edges = adds = None
+    if total:
+        csum = np.zeros(len(pos), dtype=np.int64)
+        r_cnt[:-1].cumsum(out=csum[1:])
+        edges = plan.edges[plan.earange[:total] + (r0 - csum).repeat(r_cnt)]
+        adds = plan.height[pos].repeat(r_cnt)
+    feeder.ledger.admit_many(plan.iid[pos], _prechecked=True,
+                             _demands=dems, _edges=edges, _adds=adds)
+    return edges
+
+
+def _route_peaks(plan: _ChunkPlan, load: np.ndarray, i0: int, i1: int):
+    """``(loads, seg_max, rel, nonempty)`` over the candidates of
+    arrivals ``[i0, i1)``: the loads gathered along their routes, each
+    candidate's peak (0.0 on an empty route, as the scalar probe sees
+    it), its segment offset into ``loads``, and — only when the plan
+    has empty routes, else ``None`` — which segments are nonempty."""
+    estart = plan.estart
+    c0 = plan.cstart[i0]
+    c1 = plan.cstart[i1]
+    e0 = estart[c0]
+    loads = load[plan.edges[e0:estart[c1]]]
+    rel = estart[c0:c1] - e0
+    if not plan.has_empty:
+        return loads, np.maximum.reduceat(loads, rel), rel, None
+    seg_max = np.zeros(c1 - c0, dtype=np.float64)
+    ne = (estart[c0 + 1:c1 + 1] - estart[c0:c1]) > 0
+    if loads.size:
+        seg_max[ne] = np.maximum.reduceat(loads, rel[ne])
+    return loads, seg_max, rel, ne
+
+
+def _kernel_greedy(feeder: "FastFeeder", plan: _ChunkPlan,
+                   i0: int, i1: int) -> _Decision:
+    """Vectorized ``GreedyThreshold.on_arrival`` over arrivals
+    ``[i0, i1)`` of the plan, against the current loads; pure.
+
+    The density floor is pre-folded into ``plan.gkey``
+    (below-threshold candidates carry ``_INT_MAX``), and the
+    already-admitted early return is applied per arrival — the
     currently-admitted check is subsumed, since a demand in the system
     is by invariant in the ever-admitted set.
     """
     ledger = feeder.ledger
-    cstart = plan.cstart
-    estart = plan.estart
-    c0 = cstart[i0]
-    c1 = cstart[i1]
-    e0 = estart[c0]
-    loads = ledger.active._load[plan.edges[e0:estart[c1]]]
-    # The feasibility probe: per-candidate route peak via one segment
-    # max (the rare empty-route chunks take the masked shape, where
-    # empty segments stay 0.0 exactly as the scalar probe sees them).
-    rel = estart[c0:c1] - e0
-    if not plan.has_empty:
-        seg_max = np.maximum.reduceat(loads, rel)
-    else:
-        seg_max = np.zeros(c1 - c0, dtype=np.float64)
-        ne = (estart[c0 + 1:c1 + 1] - estart[c0:c1]) > 0
-        if loads.size:
-            seg_max[ne] = np.maximum.reduceat(loads, rel[ne])
-    blocked = seg_max + plan.height[c0:c1] > _CAP
-    if plan.has_empty:
-        blocked &= plan.apply[c0:c1]
-    key = np.where(blocked, _INT_MAX, plan.gkey[c0:c1])
-    best = np.minimum.reduceat(key, cstart[i0:i1] - c0)
-    sel = np.nonzero(best != _INT_MAX)[0]
+    c0 = plan.cstart[i0]
+    c1 = plan.cstart[i1]
+    _, seg_max, _, _ = _route_peaks(plan, ledger.active._load, i0, i1)
+    key = np.where(seg_max + plan.height[c0:c1] > _CAP, _INT_MAX,
+                   plan.gkey[c0:c1])
+    best = np.minimum.reduceat(key, plan.cstart[i0:i1] - c0)
+    sel = (best != _INT_MAX).nonzero()[0]
     if not len(sel):
-        return _EMPTY_IIDS
+        return _NO_ADMISSION
     dems = plan.demands[i0 + sel].tolist()
     ever = ledger._ever_admitted
     if ever:
         keep = [k for k, d in enumerate(dems) if d not in ever]
         if len(keep) != len(dems):
             if not keep:
-                return _EMPTY_IIDS
+                return _NO_ADMISSION
             sel = sel[np.asarray(keep, dtype=np.int64)]
             dems = [dems[k] for k in keep]
-    best_iids = best[sel] % feeder.num_instances
-    ledger.admit_many(best_iids, _prechecked=True, _demands=dems)
-    return best_iids
+    # The key's low part is the plan position (see _prepare).
+    return _Decision(sel, best[sel] % np.int64(len(plan.pos) + 1), dems)
+
+
+def _kernel_greedy_commit(feeder: "FastFeeder", plan: _ChunkPlan,
+                          dec: _Decision, n: int) -> int:
+    """Apply the first ``n`` arrivals of a greedy window; returns the
+    number admitted."""
+    k = int(dec.admit.searchsorted(n))
+    if k:
+        _admit_positions(feeder, plan, dec.first[:k], dec.dems[:k])
+    return k
 
 
 def _kernel_dual(feeder: "FastFeeder", plan: _ChunkPlan,
-                 i0: int, i1: int) -> np.ndarray:
-    """Vectorized ``DualGated.on_arrival`` over one run's arrivals.
+                 i0: int, i1: int) -> _Decision:
+    """Vectorized ``DualGated.on_arrival`` over arrivals ``[i0, i1)``
+    of the plan, against the current loads; pure.
 
     Same candidate ranking (first strict price minimum in candidate
-    order), same gate (``profit <= eta * price``), same stats counters
-    and ``max_gate`` trajectory, same peak-load notes — computed from
-    the run-entry loads, which within a conflict-free run are exactly
-    the loads the scalar loop would observe event by event.  The
-    demand-in-system block is applied per arrival (every candidate of
-    such a demand is blocked in the scalar probe, so the arrival counts
-    as capacity-blocked either way).
+    order) and gate (``profit <= eta * price``).  The demand-in-system
+    block is applied per arrival (every candidate of such a demand is
+    blocked in the scalar probe, so the arrival counts as
+    capacity-blocked either way).
     """
     ledger = feeder.ledger
     policy = feeder.policy
     cstart = plan.cstart
-    estart = plan.estart
     c0 = cstart[i0]
     c1 = cstart[i1]
-    e0 = estart[c0]
-    load = ledger.active._load
-    loads = load[plan.edges[e0:estart[c1]]]
+    loads, seg_max, rel, ne = _route_peaks(plan, ledger.active._load,
+                                           i0, i1)
     h = plan.height[c0:c1]
-    # Feasibility probe (see the greedy kernel for the masked shape).
-    rel = estart[c0:c1] - e0
-    if not plan.has_empty:
-        seg_max = np.maximum.reduceat(loads, rel)
-    else:
-        seg_max = np.zeros(c1 - c0, dtype=np.float64)
-        ne = (estart[c0 + 1:c1 + 1] - estart[c0:c1]) > 0
-        if loads.size:
-            seg_max[ne] = np.maximum.reduceat(loads, rel[ne])
     feasible = seg_max + h <= _CAP
-    if plan.has_empty:
-        # ~blocked with blocked = (load test) & apply.
-        feasible |= ~plan.apply[c0:c1]
     # Price every gathered route edge in one ufunc call (elementwise,
     # position-invariant); the per-candidate sums are one multi-segment
     # reduceat — the very reduction the scalar price function performs.
     pw = np.power(policy.mu, loads) - 1.0
-    if not plan.has_empty:
+    if ne is None:
         sums = np.add.reduceat(pw, rel)
     else:
         sums = np.zeros(c1 - c0, dtype=np.float64)
@@ -565,22 +609,13 @@ def _kernel_dual(feeder: "FastFeeder", plan: _ChunkPlan,
     relc = cstart[i0:i1] - c0
     best_price = np.minimum.reduceat(priced, relc)
     # An arrival has a feasible candidate iff its best price is finite
-    # (feasible prices are always finite); a demand already in the
-    # system blocks every candidate in the scalar probe, so it counts
-    # as capacity-blocked the same way.
+    # (feasible prices are always finite).
     has_any = best_price < np.inf
     has_any &= ~ledger.active._demand_used[plan.dix[i0:i1]]
-    stats = policy.stats
-    n_any = int(np.count_nonzero(has_any))
-    if n_any == i1 - i0:
-        # Common shape in an uncongested stretch: every arrival admits
-        # a candidate, so the per-arrival compaction gathers vanish.
-        ai = None
-    else:
-        stats["capacity_blocked"] += (i1 - i0) - n_any
-        if not n_any:
-            return _EMPTY_IIDS
-        ai = np.nonzero(has_any)[0]
+    ai = has_any.nonzero()[0]
+    if not len(ai):
+        return _Decision(_EMPTY_IIDS, has_any=has_any,
+                         best_price=best_price, gated=_EMPTY_IIDS)
     # First strict minimum in candidate order — the scalar loop keeps
     # the first candidate attaining the minimum.  Infeasible candidates
     # carry +inf, which only ties a +inf best price — and those
@@ -588,89 +623,62 @@ def _kernel_dual(feeder: "FastFeeder", plan: _ChunkPlan,
     at_min = priced == best_price[plan.aidx[c0:c1] - i0]
     first = np.minimum.reduceat(
         np.where(at_min, plan.pos[c0:c1], _INT_MAX), relc
-    )
-    if ai is None:
-        first_sel = first
-        best_prices = best_price
-    else:
-        first_sel = first[ai]
-        best_prices = best_price[ai]
-    # max_gate folds in every best price seen, gated or not (max is
-    # order-independent; cast keeps the stats JSON-safe floats).
-    mg = float(best_prices.max())
-    if mg > stats["max_gate"]:
-        stats["max_gate"] = mg
-    gated = plan.profit[first_sel] <= policy.eta * best_prices
-    n_gated = int(np.count_nonzero(gated))
-    if n_gated:
-        stats["gated"] += n_gated
-        if n_gated == len(gated):
-            return _EMPTY_IIDS
-        keep = ~gated
-        first_sel = first_sel[keep]
-        ai = np.nonzero(keep)[0] if ai is None else ai[keep]
-    # One route-edge gather serves the load scatter-add, the holder
-    # bookkeeping inputs, and the peak notes.
-    r0 = estart[first_sel]
-    r_cnt = estart[first_sel + 1] - r0
-    total = int(r_cnt.sum())
-    if total:
-        csum = np.zeros(len(first_sel), dtype=np.int64)
-        np.cumsum(r_cnt[:-1], out=csum[1:])
-        edges = plan.edges[
-            plan.earange[:total] + (r0 - csum).repeat(r_cnt)
-        ]
-        adds = plan.height[first_sel].repeat(r_cnt)
-    else:
-        edges = adds = None
-    best_iids = plan.iid[first_sel]
-    dems = (plan.demands[i0:i1] if ai is None
-            else plan.demands[i0 + ai]).tolist()
-    ledger.admit_many(
-        best_iids, _prechecked=True, _demands=dems,
-        _edges=edges, _adds=adds,
-    )
-    if total:
+    )[ai]
+    gated = plan.profit[first] <= policy.eta * best_price[ai]
+    keep = ~gated
+    admit = ai[keep]
+    return _Decision(admit, first[keep], plan.demands[i0 + admit].tolist(),
+                     has_any, best_price, ai[gated])
+
+
+def _kernel_dual_commit(feeder: "FastFeeder", plan: _ChunkPlan,
+                        dec: _Decision, n: int) -> int:
+    """Apply the first ``n`` arrivals of a dual-gated window: stats
+    counters, the ``max_gate`` trajectory, admissions and peak-load
+    notes; returns the number admitted."""
+    ledger = feeder.ledger
+    stats = feeder.policy.stats
+    has_any = dec.has_any[:n]
+    n_any = int(np.count_nonzero(has_any))
+    stats["capacity_blocked"] += n - n_any
+    if n_any:
+        # max_gate folds in every best price seen, gated or not (max is
+        # order-independent; cast keeps the stats JSON-safe floats).
+        mg = float(dec.best_price[:n][has_any].max())
+        if mg > stats["max_gate"]:
+            stats["max_gate"] = mg
+        n_gated = int(dec.gated.searchsorted(n))
+        if n_gated:
+            stats["gated"] += n_gated
+    k = int(dec.admit.searchsorted(n))
+    if not k:
+        return 0
+    edges = _admit_positions(feeder, plan, dec.first[:k], dec.dems[:k])
+    if edges is not None:
         # Batched ``_note_peak``: each admitted route's post-admission
-        # loads equal its post-batch loads (disjointness), so one
+        # loads equal its post-commit loads (disjointness), so one
         # gather after admit_many folds the same values into the peaks
         # as the per-admission scalar notes.  History snapshots are
         # never taken here: the policy only advertises its batch
         # kernel with ``history=False``.
-        peak = policy._peak
+        load = ledger.active._load
+        peak = feeder.policy._peak
         peak[edges] = np.maximum(peak[edges], load[edges])
-    return best_iids
+    return k
 
 
 _EMPTY_IIDS = np.zeros(0, dtype=np.int64)
-
-
-def batch_greedy_threshold(feeder: "FastFeeder",
-                           demands: np.ndarray) -> np.ndarray:
-    """One-shot :func:`_kernel_greedy` over ``demands`` (event order)."""
-    demands = np.asarray(demands, dtype=np.int64)
-    if not len(demands):
-        return _EMPTY_IIDS
-    return _kernel_greedy(feeder, _prepare(feeder, demands),
-                          0, len(demands))
-
-
-def batch_dual_gated(feeder: "FastFeeder",
-                     demands: np.ndarray) -> np.ndarray:
-    """One-shot :func:`_kernel_dual` over ``demands`` (event order)."""
-    demands = np.asarray(demands, dtype=np.int64)
-    if not len(demands):
-        return _EMPTY_IIDS
-    return _kernel_dual(feeder, _prepare(feeder, demands),
-                        0, len(demands))
+_NO_ADMISSION = _Decision(_EMPTY_IIDS)
 
 
 #: Kernel registry: the names policies advertise via ``batch_kernel()``.
-#: Values are ``(one_shot, per_run)`` — the one-shot form takes raw
-#: demand ids, the per-run form a :class:`_ChunkPlan` arrival range.
+#: Values are ``(decide, commit)``: ``decide(feeder, plan, i0, i1)``
+#: returns the :class:`_Decision` of arrivals ``[i0, i1)`` without
+#: touching any state, ``commit(feeder, plan, decision, n)`` applies
+#: the first ``n`` of them.
 BATCH_KERNELS = {
-    "greedy-threshold": (batch_greedy_threshold, _kernel_greedy),
-    "dual-gated": (batch_dual_gated, _kernel_dual),
+    "greedy-threshold": (_kernel_greedy, _kernel_greedy_commit),
+    "dual-gated": (_kernel_dual, _kernel_dual_commit),
 }
 
 
@@ -685,11 +693,13 @@ class FastFeeder:
     Constructed by :class:`~repro.session.kernel.AdmissionSession` when
     the policy advertises a batch kernel (and keeps the base no-op
     departure/tick hooks).  Each batch is columnarized per
-    :data:`CHUNK`, segmented into conflict-free runs, and executed run
-    by run: departures release in one batched call, arrivals decide in
-    one kernel call.  Anything the kernels must not touch — unbatchable
-    events, runs shorter than :data:`MIN_VECTOR_RUN` — goes through the
-    session's scalar dispatcher, which is bit-identical by definition.
+    :data:`CHUNK` and executed window by window: the kernel decides a
+    window's arrivals, :func:`conflict_free_prefix` finds how many of
+    its events stand, and that prefix is committed — departures in one
+    batched release, arrivals in one kernel commit.  Anything the
+    kernels must not touch — unbatchable events, stretches shorter than
+    :data:`MIN_VECTOR_RUN` — goes through the session's scalar
+    dispatcher, which is bit-identical by definition.
     """
 
     def __init__(self, session, kernel_name: str) -> None:
@@ -698,19 +708,18 @@ class FastFeeder:
         self.session = session
         self.ledger = session.ledger
         self.policy = session.policy
-        self.kernel, self._krun = BATCH_KERNELS[kernel_name]
+        self._decide, self._commit = BATCH_KERNELS[kernel_name]
         self.geom = geometry_of(session.ledger)
-        self.num_instances = self.geom.num_instances
+        # Scratch for conflict_free_prefix over footprint ids E + D.
+        self._stamp = np.full(self.geom.num_edges + self.geom.num_demands,
+                              _INT_MAX, dtype=np.int64)
         # Greedy's density floor is static per session: fold it into the
-        # selection key once, so the kernel's eligibility test is just
-        # the feasibility mask.
+        # selection key, so the kernel's eligibility test is just the
+        # feasibility mask.
         if kernel_name == "greedy-threshold":
-            self.gkey = np.where(
-                self.geom.cand_density < self.policy.threshold,
-                _INT_MAX, self.geom.cand_selkey,
-            )
+            self.below = self.geom.cand_density < self.policy.threshold
         else:
-            self.gkey = None
+            self.below = None
 
     def feed(self, events) -> None:
         """Apply a whole batch (the ``feed_many`` fast route)."""
@@ -729,24 +738,29 @@ class FastFeeder:
         batchable = ta.batchable
         # Chunk-wide pregather: candidate/route columns for every
         # batchable arrival, plus event → arrival/departure prefix maps
-        # so each run's slice bounds are O(1) lookups.
+        # so each window's slice bounds are O(1) lookups.
         barr = batchable & (ta.kinds == _KIND_ARRIVAL)
         bdep = batchable & (ta.kinds == _KIND_DEPARTURE)
         arr_ofs = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(barr, out=arr_ofs[1:])
         dep_ofs = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(bdep, out=dep_ofs[1:])
-        plan = _prepare(self, ta.demand[barr])
-        dep_demands = ta.demand[bdep].tolist()
-        arr_ofs_l = arr_ofs.tolist()
-        dep_ofs_l = dep_ofs.tolist()
+        cols = _ChunkColumns(
+            plan=_prepare(self, ta.demand[barr]),
+            arr_ofs=arr_ofs.tolist(),
+            dep_ofs=dep_ofs.tolist(),
+            arr_event=np.nonzero(barr)[0],
+            dep_event=np.nonzero(bdep)[0],
+            dep_demands=ta.demand[bdep].tolist(),
+        )
         bl = batchable.tolist()
-        # Per-run counter updates accumulate locally and flush once per
-        # chunk (the scalar dispatcher keeps updating the session
+        # Per-window counter updates accumulate locally and flush once
+        # per chunk (the scalar dispatcher keeps updating the session
         # directly, so totals come out identical either way).
         c_events = c_arr = c_dep = c_runs = c_adm = 0
         t_first = dur_sum = 0.0
         max_run = stats["max_run_len"]
+        window = WINDOW_MIN
         lo = 0
         while lo < n:
             if not bl[lo]:
@@ -757,27 +771,29 @@ class FastFeeder:
             hi = lo
             while hi < n and bl[hi]:
                 hi += 1
-            for a, b in conflict_free_runs(ta, lo, hi):
-                if b - a < MIN_VECTOR_RUN:
-                    stats["scalar_fallbacks"] += b - a
-                    dispatch = session._dispatch
-                    for i in range(a, b):
-                        dispatch(ta.events[i])
-                else:
-                    t0, dur, admitted = self._run(
-                        ta, plan, arr_ofs_l, dep_ofs_l, dep_demands, a, b)
-                    rn = b - a
-                    c_events += rn
-                    c_arr += arr_ofs_l[b] - arr_ofs_l[a]
-                    c_dep += dep_ofs_l[b] - dep_ofs_l[a]
-                    c_adm += admitted
-                    if not c_runs:
-                        t_first = t0
-                    dur_sum += dur
-                    c_runs += 1
-                    if rn > max_run:
-                        max_run = rn
-            lo = hi
+            if hi - lo < MIN_VECTOR_RUN:
+                stats["scalar_fallbacks"] += hi - lo
+                dispatch = session._dispatch
+                for i in range(lo, hi):
+                    dispatch(ta.events[i])
+                lo = hi
+                continue
+            while lo < hi:
+                t0, dur, admitted, p = self._window(
+                    ta, cols, lo, min(hi, lo + window))
+                rn = p - lo
+                c_events += rn
+                c_arr += cols.arr_ofs[p] - cols.arr_ofs[lo]
+                c_dep += cols.dep_ofs[p] - cols.dep_ofs[lo]
+                c_adm += admitted
+                if not c_runs:
+                    t_first = t0
+                dur_sum += dur
+                c_runs += 1
+                if rn > max_run:
+                    max_run = rn
+                window = min(WINDOW_MAX, rn + WINDOW_MIN)
+                lo = p
         if c_runs:
             session.events += c_events
             session.arrivals += c_arr
@@ -786,11 +802,11 @@ class FastFeeder:
             stats["runs"] += c_runs
             stats["batched_events"] += c_events
             stats["max_run_len"] = max_run
-            # One aggregated span per chunk, not one per run: per-run
+            # One aggregated span per chunk, not one per window: per-run
             # spans cost ~2µs each, which the batch kernels made a
             # measurable slice of the hot path (the obs-overhead gate
-            # caught it).  ``dur`` sums only the in-run kernel windows,
-            # so scalar fallbacks interleaved between runs stay out.
+            # caught it).  ``dur`` sums only the in-window kernel time,
+            # so scalar fallbacks interleaved between windows stay out.
             if _tracing.RECORDER.enabled:
                 _tracing.record_complete(
                     "session.batch_decide", t_first, dur_sum,
@@ -799,33 +815,67 @@ class FastFeeder:
                      "runs": c_runs},
                 )
 
-    def _run(self, ta: TraceArrays, plan: _ChunkPlan, arr_ofs: list,
-             dep_ofs: list, dep_demands: list, a: int,
-             b: int) -> tuple[float, float, int]:
-        """Execute one conflict-free run of batchable events.
+    def _window(self, ta: TraceArrays, cols: "_ChunkColumns", a: int,
+                b: int) -> tuple[float, float, int, int]:
+        """Decide batchable events ``[a, b)``, commit the prefix that
+        stands; returns ``(t0, duration, admitted, prefix_end)``.
 
-        Releases go first (the scalar loop performs them outside the
-        decision clock too); the arrival kernel then reads loads that —
-        by footprint disjointness — match what each scalar decision
-        would have read in event order.  Ticks are no-ops here by
-        construction (the policy keeps the base ``on_tick``).
+        Departures are live when their demand is admitted at window
+        entry; a demand admitted inside the window shares its
+        departure's sentinel edge, so such a departure is never in the
+        committed prefix.  Within the prefix, releases and admissions
+        touch pairwise disjoint edges, so releases go first (the scalar
+        loop performs them outside the decision clock too).  Ticks are
+        no-ops here by construction (the policy keeps the base
+        ``on_tick``).
         """
         session = self.session
         ledger = self.ledger
         t0 = time.perf_counter()
-        d0 = dep_ofs[a]
-        d1 = dep_ofs[b]
-        if d1 > d0:
-            admitted_map = ledger._admitted
-            live = [d for d in dep_demands[d0:d1] if d in admitted_map]
-            if live:
-                ledger.release_many(live, _disjoint=True)
-        i0 = arr_ofs[a]
-        i1 = arr_ofs[b]
-        admitted = 0
+        i0 = cols.arr_ofs[a]
+        i1 = cols.arr_ofs[b]
+        admitted_map = ledger._admitted
+        dep_demands = cols.dep_demands
+        live = [k for k in range(cols.dep_ofs[a], cols.dep_ofs[b])
+                if dep_demands[k] in admitted_map]
+        dec = None
         if i1 > i0:
-            admitted = len(self._krun(self, plan, i0, i1))
+            dec = self._decide(self, cols.plan, i0, i1)
+        p = b
+        if live or (dec is not None and len(dec.admit)):
+            changing = np.zeros(b - a, dtype=bool)
+            if dec is not None:
+                changing[cols.arr_event[i0 + dec.admit] - a] = True
+            if live:
+                changing[cols.dep_event[live] - a] = True
+            p = conflict_free_prefix(ta, a, b, changing, self._stamp)
+        d_end = cols.dep_ofs[p]
+        released = [dep_demands[k] for k in live if k < d_end]
+        if released:
+            ledger.release_many(released, _disjoint=True)
+        admitted = 0
+        if dec is not None:
+            admitted = self._commit(self, cols.plan, dec,
+                                    cols.arr_ofs[p] - i0)
         dur = time.perf_counter() - t0
-        n = b - a
+        n = p - a
         session.latencies.extend([dur / n] * n)
-        return t0, dur, admitted
+        return t0, dur, admitted, p
+
+
+class _ChunkColumns:
+    """One chunk's pre-gathered plan plus its event → arrival/departure
+    maps (``*_ofs``: prefix counts per event; ``*_event``: the event
+    index of each batchable arrival/departure)."""
+
+    __slots__ = ("plan", "arr_ofs", "dep_ofs", "arr_event", "dep_event",
+                 "dep_demands")
+
+    def __init__(self, plan, arr_ofs, dep_ofs, arr_event, dep_event,
+                 dep_demands) -> None:
+        self.plan = plan
+        self.arr_ofs = arr_ofs
+        self.dep_ofs = dep_ofs
+        self.arr_event = arr_event
+        self.dep_event = dep_event
+        self.dep_demands = dep_demands

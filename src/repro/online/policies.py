@@ -82,7 +82,7 @@ class AdmissionPolicy:
 
         A non-``None`` name (a :data:`repro.online.fastpath.BATCH_KERNELS`
         key) advertises that ``on_arrival`` can be replayed by the
-        columnar fast path over conflict-free runs, bit-identically.
+        columnar fast path over event windows, bit-identically.
         Only policies whose decisions depend solely on the ledger's
         live loads qualify; anything with per-event buffering or
         preemption must return ``None`` (the default).

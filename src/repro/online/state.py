@@ -526,24 +526,19 @@ class CapacityLedger:
         t0 = time.perf_counter_ns() if _REC.enabled else 0
         idx = self.index
         arr = np.asarray(iids, dtype=np.int64)
-        starts = idx._indptr[arr]
-        counts = idx._indptr[arr + 1] - starts
-        total = int(counts.sum())
-        if total:
-            rel = np.zeros(len(arr), dtype=np.int64)
-            np.cumsum(counts[:-1], out=rel[1:])
-            offsets = np.repeat(starts - rel, counts)
-            edges = idx._flat_edges[np.arange(total) + offsets]
-            subs = np.repeat(idx._heights[arr], counts)
+        routes = [self._route_edge_list(iid) for iid in iids]
+        edges = [eid for route in routes for eid in route]
+        if edges:
+            subs = idx._heights[arr].repeat([len(r) for r in routes])
             if _disjoint:
                 self.active._load[edges] -= subs
             else:
                 np.subtract.at(self.active._load, edges, subs)
         self.active._demand_used[idx._dix[arr]] = False
-        for d, iid in zip(dlist, iids):
+        for d, iid, route in zip(dlist, iids, routes):
             del self._admitted[d]
             self.active._members.discard(iid)
-            for eid in self._route_edge_list(iid):
+            for eid in route:
                 self._holders_by_edge[eid].discard(d)
         if t0:
             _REC.record("ledger.release_many", t0,

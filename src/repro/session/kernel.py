@@ -262,6 +262,8 @@ class AdmissionSession:
         #: Columnar fast-path telemetry (never checkpointed: the scalar
         #: and batched paths are byte-identical, so a warm restart may
         #: legitimately disagree on *how* events were executed).
+        #: ``runs`` counts committed kernel windows and ``max_run_len``
+        #: the longest one, in events.
         self.fastpath_stats = {"enabled": False, "runs": 0,
                                "batched_events": 0, "scalar_fallbacks": 0,
                                "max_run_len": 0}
@@ -333,7 +335,7 @@ class AdmissionSession:
         decode and one journal commit) amortized over the batch.
         """
         if self._fast is not None:
-            # The columnar fast path: conflict-free runs decided by the
+            # The columnar fast path: event windows decided by the
             # policy's batch kernel, byte-identical to the scalar loop
             # below.
             self._fast.feed(events)

@@ -7,10 +7,11 @@ Three contracts, each pinned property-style:
   policy stats (including the dual ``max_gate`` trajectory), final
   loads, dual certificates, journal bytes — across seeds, policies,
   batch splits and shard-sliced views.
-* **Exact-maximal segmentation** — :func:`conflict_free_runs` must cut
-  exactly at the first footprint overlap: any finer split is sound but
-  wastes batching, any coarser split would reorder conflicting
-  decisions.
+* **Exact-maximal segmentation** — :func:`conflict_free_prefix` must
+  cut exactly at the first footprint overlap with an earlier
+  state-changing event (every event, when no mask is given): any finer
+  split is sound but wastes batching, any coarser split would reorder
+  conflicting decisions.
 * **Batched ledger ops** — ``admit_many`` / ``release_many`` must be
   whole-batch atomic (a failing entry leaves no half-applied load) and
   leave the ledger in a state its own ``verify()`` accepts.
@@ -25,7 +26,7 @@ from repro import Demand, TreeNetwork, TreeProblem
 from repro.online import (
     CapacityLedger,
     TraceArrays,
-    conflict_free_runs,
+    conflict_free_prefix,
     generate_trace,
     geometry_of,
     make_policy,
@@ -117,6 +118,23 @@ class TestByteIdentity:
                             fastpath=True, splits=splits)
             assert got == ref, f"splits {splits[:5]}... diverged"
 
+    @pytest.mark.parametrize("bounds", [(1, 1), (2, 3), (4096, 4096)])
+    @pytest.mark.parametrize("topology", ["line", "tree"])
+    @pytest.mark.parametrize("policy_name,params",
+                             [("greedy-threshold", {}), ("dual-gated", {})])
+    def test_window_bounds_invariance(self, monkeypatch, bounds, topology,
+                                      policy_name, params):
+        """Identical bytes whatever the speculation window: tiny windows
+        commit almost everything they decide, huge ones re-decide most
+        of each window after the first state-change overlap."""
+        from repro.online import fastpath
+
+        trace = _trace(topology, seed=12)
+        ref = _feed_sig(trace, policy_name, params, fastpath=False)
+        monkeypatch.setattr(fastpath, "WINDOW_MIN", bounds[0])
+        monkeypatch.setattr(fastpath, "WINDOW_MAX", bounds[1])
+        assert _feed_sig(trace, policy_name, params, fastpath=True) == ref
+
     @pytest.mark.parametrize("shards", [2, 3])
     @pytest.mark.parametrize("policy_name,params",
                              [("greedy-threshold", {}), ("dual-gated", {})])
@@ -174,6 +192,27 @@ class TestByteIdentity:
                 == len(trace.events))
         session.close(verify=True)
 
+    @pytest.mark.parametrize("topology", ["line", "tree"])
+    @pytest.mark.parametrize("policy_name", ["greedy-threshold",
+                                             "dual-gated"])
+    def test_windows_outlast_conflict_free_runs(self, topology,
+                                                policy_name):
+        """Rejections change no state, so on a congested stream the
+        committed windows are several times longer than the maximal
+        conflict-free runs (1500 events: ~90 windows against 411 runs
+        on the line and 1114 on the tree), and nothing falls back to
+        the scalar dispatcher."""
+        trace = _trace(topology, seed=7)
+        session = AdmissionSession(trace.problem, make_policy(policy_name),
+                                   trace_meta=trace.meta, fastpath=True)
+        session.feed_many(trace.events)
+        ta = TraceArrays.from_events(trace.events,
+                                     geometry_of(session.ledger))
+        stats = session.fastpath_stats
+        assert stats["scalar_fallbacks"] == 0
+        assert 3 * stats["runs"] <= len(_runs(ta))
+        session.close(verify=True)
+
     def test_scalar_session_reports_disabled(self):
         trace = _trace("line", events=200, seed=7)
         policy = make_policy("greedy-threshold")
@@ -200,6 +239,18 @@ class TestByteIdentity:
 # ----------------------------------------------------------------------
 # Exact-maximal run segmentation
 # ----------------------------------------------------------------------
+
+
+def _runs(ta, lo=0, hi=None):
+    """Segment ``[lo, hi)`` into maximal conflict-free runs by chaining
+    :func:`conflict_free_prefix` with every event changing."""
+    hi = len(ta) if hi is None else hi
+    runs = []
+    while lo < hi:
+        p = conflict_free_prefix(ta, lo, hi)
+        runs.append((lo, p))
+        lo = p
+    return runs
 
 
 def _reference_runs(ta, lo, hi):
@@ -229,7 +280,7 @@ class TestRunSegmenter:
         trace = _trace(topology, seed=seed)
         geom = geometry_of(CapacityLedger(trace.problem))
         ta = TraceArrays.from_events(trace.events, geom)
-        got = conflict_free_runs(ta)
+        got = _runs(ta)
         assert got == _reference_runs(ta, 0, len(ta))
 
     @pytest.mark.parametrize("seed", [0, 2])
@@ -242,7 +293,7 @@ class TestRunSegmenter:
         n = len(ta)
         for lo, hi in [(0, n), (1, n - 1), (n // 3, 2 * n // 3),
                        (5, 6), (0, 1)]:
-            assert conflict_free_runs(ta, lo, hi) == \
+            assert _runs(ta, lo, hi) == \
                 _reference_runs(ta, lo, hi)
 
     def test_shard_sliced_views(self):
@@ -254,7 +305,7 @@ class TestRunSegmenter:
                 continue
             geom = geometry_of(CapacityLedger(sub.problem))
             ta = TraceArrays.from_events(sub.events, geom)
-            assert conflict_free_runs(ta) == _reference_runs(ta, 0, len(ta))
+            assert _runs(ta) == _reference_runs(ta, 0, len(ta))
 
     def test_single_edge_degenerate_routes(self):
         """Every route is the same single edge: every pair of demand
@@ -269,7 +320,7 @@ class TestRunSegmenter:
         geom = geometry_of(CapacityLedger(problem))
         events = [Arrival(float(t), t % 4) for t in range(8)]
         ta = TraceArrays.from_events(events, geom)
-        runs = conflict_free_runs(ta)
+        runs = _runs(ta)
         assert runs == [(i, i + 1) for i in range(8)]
         assert runs == _reference_runs(ta, 0, len(ta))
 
@@ -284,7 +335,37 @@ class TestRunSegmenter:
         events = [Arrival(0.0, 0), Departure(1.0, 0),
                   Arrival(2.0, 0), Departure(3.0, 0)]
         ta = TraceArrays.from_events(events, geom)
-        assert conflict_free_runs(ta) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert _runs(ta) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    @pytest.mark.parametrize("topology", ["line", "tree"])
+    def test_prefix_with_changing_mask(self, topology):
+        """With a state-change mask the prefix ends at the first event
+        overlapping an earlier *changing* event — overlaps with events
+        that change nothing never cut."""
+        trace = _trace(topology, events=300, seed=11)
+        geom = geometry_of(CapacityLedger(trace.problem))
+        ta = TraceArrays.from_events(trace.events, geom)
+        indptr = ta.fp_indptr
+        rng = np.random.default_rng(5)
+        n = len(ta)
+        stamp = np.full(geom.num_edges + geom.num_demands,
+                        np.iinfo(np.int64).max, dtype=np.int64)
+        for _ in range(60):
+            lo = int(rng.integers(0, n - 1))
+            hi = int(rng.integers(lo + 1, min(n, lo + 80) + 1))
+            changing = rng.random(hi - lo) < rng.random()
+            hot: set = set()
+            want = hi
+            for i in range(lo, hi):
+                fp = set(ta.fp_edges[indptr[i]:indptr[i + 1]].tolist())
+                if hot & fp:
+                    want = i
+                    break
+                if changing[i - lo]:
+                    hot |= fp
+            assert conflict_free_prefix(ta, lo, hi, changing) == want
+            assert conflict_free_prefix(ta, lo, hi, changing, stamp) == want
+            assert (stamp == np.iinfo(np.int64).max).all()
 
     def test_disjoint_stream_is_one_run(self):
         """Arrivals of pairwise route-disjoint demands batch into one
@@ -303,7 +384,7 @@ class TestRunSegmenter:
         geom = geometry_of(CapacityLedger(problem))
         events = [Arrival(float(d), d) for d in range(4)]
         ta = TraceArrays.from_events(events, geom)
-        assert conflict_free_runs(ta) == [(0, 4)]
+        assert _runs(ta) == [(0, 4)]
 
 
 # ----------------------------------------------------------------------

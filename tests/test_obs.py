@@ -374,7 +374,9 @@ class TestForkMerge:
             tree_trace, "greedy-threshold", {})
         forked_names = [e[0] for e in RECORDER.events()]
         assert "shard.phaseA" in inline_names
-        assert "session.decide" in inline_names
+        # greedy-threshold decides through the batch kernels, which
+        # record one aggregated span per chunk.
+        assert "session.batch_decide" in inline_names
         assert forked_names == inline_names
 
 
@@ -479,7 +481,8 @@ class TestDashboard:
             assert resp["ok"]
             names = {ev["name"] for ev in resp["trace"]["traceEvents"]}
             assert "server.dispatch" in names
-            assert "session.decide" in names
+            # dual-gated feeds decide through the batch kernels.
+            assert "session.batch_decide" in names
 
             # The CLI front ends drive the same wire path.
             out_path = tmp_path / "spans.json"
